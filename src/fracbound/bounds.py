@@ -36,15 +36,19 @@ never changes a value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
-from .quadrature import DomainError, Interval, Order
+import numpy as np
+
+from .quadrature import ALPHA_MAX, ALPHA_MIN, DomainError, Interval, Order, power_array
 
 __all__ = [
     "BoundBreakdown",
     "BullenConfig",
     "HadamardConfig",
     "InconsistencyError",
+    "PanelConfigs",
     "abs_moment_left_closed",
     "abs_moment_mid_closed",
     "abs_moment_right_closed",
@@ -58,6 +62,7 @@ __all__ = [
     "unit_order_two_point_table",
     "v_bullen",
     "v_hadamard",
+    "v_panels",
     "weighted_bullen_coeff",
     "weighted_bullen_reference",
 ]
@@ -350,6 +355,193 @@ def v_bullen(config: BullenConfig) -> BoundBreakdown:
     total = math.fsum(v_ for _, v_ in terms)
     _dual_path_guard(total, assembled, tag)
     return BoundBreakdown(tag, terms, total, assembled)
+
+
+# ---------------------------------------------------------------------------
+# Batched k-panel form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class PanelConfigs:
+    """A batch of k-panel configurations, one per row.
+
+    Row i has order ``alpha[i]``, weights ``weights[i]`` (k of them) and
+    sorted nodes ``nodes[i]``.  Panel p spans [edges[i, p], edges[i, p+1]]
+    with edges a = e_0 <= e_1 <= ... <= e_k = b; the first panel carries
+    the left kernel anchored at a, every other panel the right kernel
+    anchored at its own right edge.  k = 2 with weights (lam, 1 - lam) is
+    :class:`HadamardConfig`; k = 3 is :class:`BullenConfig`.
+
+    Construction runs the checks of those configs on every row (order in
+    range, weights in [0, 1] summing to 1 within 1e-9, a <= nodes sorted
+    <= b) and raises DomainError on the first row that fails.  Weights are
+    renormalized by their sum as BullenConfig does (for weights
+    (lam, 1 - lam) the sum is exactly 1).  Edge e_p is (1 - P_p)*a + P_p*b
+    clamped to [e_{p-1}, b], P_p being the sum of the first p weights; the
+    last interior edge takes the last weight in place of 1 - P_p.  These
+    are the expressions of ``v_node``, ``v1_node`` and ``v2_node``, so every
+    edge equals theirs bit for bit.
+    """
+
+    interval: Interval
+    alpha: np.ndarray
+    weights: np.ndarray
+    nodes: np.ndarray
+    edges: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.asarray(self.nodes, dtype=float)
+        a, b = self.interval.a, self.interval.b
+        if (weights.ndim != 2 or weights.shape[1] < 2 or nodes.shape != weights.shape
+                or alpha.shape != weights.shape[:1]):
+            raise DomainError(f"need alpha (n,), weights and nodes (n, k >= 2), got "
+                              f"{alpha.shape}, {weights.shape}, {nodes.shape}")
+        k = weights.shape[1]
+        _first_bad(~((alpha >= ALPHA_MIN) & (alpha <= ALPHA_MAX)),
+                   lambda i: f"order {alpha[i]} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
+        _first_bad(~((weights >= 0.0) & (weights <= 1.0 + 1e-12)).all(axis=1),
+                   lambda i: f"weights must be in [0, 1], got {weights[i].tolist()}")
+        total = weights[:, 0]
+        for p in range(1, k):
+            total = total + weights[:, p]
+        _first_bad(~(np.abs(total - 1.0) <= 1e-9),
+                   lambda i: f"weights must sum to 1, got {total[i]}")
+        weights = weights / total[:, None]
+        _first_bad(~((nodes[:, 0] >= a) & (nodes[:, -1] <= b)
+                     & (nodes[:, 1:] >= nodes[:, :-1]).all(axis=1)),
+                   lambda i: f"need a <= nodes sorted <= b, got {nodes[i].tolist()} "
+                             f"on [{a}, {b}]")
+        edges = np.empty((len(alpha), k + 1))
+        edges[:, 0], edges[:, k] = a, b
+        prefix = weights[:, 0]
+        for p in range(1, k):
+            left = weights[:, k - 1] if p == k - 1 else 1.0 - prefix
+            edges[:, p] = np.minimum(np.maximum(left * a + prefix * b, edges[:, p - 1]), b)
+            prefix = prefix + weights[:, p]
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+
+
+def _first_bad(bad: np.ndarray, message) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"row {i}: {message(i)}")
+
+
+def _panel_forms(cfg: PanelConfigs) -> list:
+    """Per-panel pieces shared by the two encodings of :func:`v_panels`.
+
+    One ``(forms, kink)`` pair per panel p (width w, node y): ``forms``
+    maps each ordering branch to its node term, "upper" for a node at or
+    past the panel edge away from the kernel anchor, "middle" for a node
+    inside, "lower" for a node before a right-kernel panel; ``kink`` is the
+    corner term 2*dist^(alpha+1)/(alpha*(alpha+1)) of the middle branch,
+    dist being the node's distance from the anchor.  Every expression is
+    the scalar code's, in its order of operations.
+    """
+    alpha = cfg.alpha
+    alpha1 = alpha + 1.0
+    denom = alpha * alpha1
+    edges, nodes = cfg.edges, cfg.nodes
+    parts = []
+    for p in range(nodes.shape[1]):
+        lo, hi, y = edges[:, p], edges[:, p + 1], nodes[:, p]
+        w = hi - lo
+        pw = power_array(w, alpha)
+        if p == 0:
+            dist = y - lo
+            inside = y < hi
+            forms = {"upper": pw * (dist / alpha - w / alpha1),
+                     "middle": pw * (w / alpha1 - dist / alpha)}
+        else:
+            dist = hi - y
+            inside = (y >= lo) & (y <= hi)
+            forms = {"upper": pw * ((y - hi) / alpha + w / alpha1),
+                     "middle": pw * (w / alpha1 - dist / alpha),
+                     "lower": pw * (dist / alpha - w / alpha1)}
+        # Only the middle branch needs the corner power; other rows skip it.
+        kink = 2.0 * power_array(np.where(inside, dist, 0.0), alpha1) / denom
+        parts.append((forms, kink))
+    return parts
+
+
+def _branches(cfg: PanelConfigs, p: int, tie_low: bool) -> dict:
+    """Row masks of the ordering branch each row takes in panel p.
+
+    The left panel's node never lies before it; the last panel's never
+    past b, so that panel has no upper branch.  ``tie_low`` sends a node
+    on a right-kernel panel's left edge to the lower branch, as
+    abs_moment_right_closed does; everything else sends it to the middle.
+    """
+    y, lo, hi = cfg.nodes[:, p], cfg.edges[:, p], cfg.edges[:, p + 1]
+    if p == 0:
+        upper = y >= hi
+        return {"upper": upper, "middle": ~upper}
+    upper = (y >= hi) if p < cfg.nodes.shape[1] - 1 else np.zeros(len(y), dtype=bool)
+    lower = (y <= lo) if tie_low else (y < lo)
+    return {"upper": upper, "middle": ~upper & ~lower, "lower": lower}
+
+
+def _literal_terms(cfg: PanelConfigs, parts: list):
+    """Literal per-ordering encoding (v_hadamard/v_bullen term lists):
+    terms (n, 2k), a (kink, node) pair per panel, and a mask of the terms
+    each row's ordering has."""
+    n, k = cfg.nodes.shape
+    terms = np.zeros((n, 2 * k))
+    present = np.ones((n, 2 * k), dtype=bool)
+    for p, (forms, kink) in enumerate(parts):
+        branches = _branches(cfg, p, tie_low=False)
+        for name, mask in branches.items():
+            terms[:, 2 * p + 1] = np.where(mask, forms[name], terms[:, 2 * p + 1])
+        terms[:, 2 * p] = np.where(branches["middle"], kink, 0.0)
+        present[:, 2 * p] = branches["middle"]
+    return terms, present
+
+
+def _assembled_moments(cfg: PanelConfigs, parts: list) -> np.ndarray:
+    """Moment-function encoding: panel moments (n, k) as
+    abs_moment_left_closed, abs_moment_mid_closed and, for the last panel,
+    abs_moment_right_closed compute them."""
+    n, k = cfg.nodes.shape
+    moments = np.zeros((n, k))
+    for p, (forms, kink) in enumerate(parts):
+        for name, mask in _branches(cfg, p, tie_low=p == k - 1).items():
+            value = kink + forms[name] if name == "middle" else forms[name]
+            moments[:, p] = np.where(mask, value, moments[:, p])
+    return moments
+
+
+def v_panels(cfg: PanelConfigs) -> np.ndarray:
+    """Bound coefficient of every row: :func:`v_hadamard` (k = 2) or
+    :func:`v_bullen` (k = 3) ``.total``, bit for bit.
+
+    The total is the math.fsum of the row's literal terms.  The moment
+    assembly is summed as the scalar code sums it, and the scalar checks
+    run: disagreement beyond DUAL_PATH_RTOL and a total below -1e-12 raise
+    InconsistencyError, naming the first row at fault.
+    """
+    parts = _panel_forms(cfg)
+    terms, present = _literal_terms(cfg, parts)
+    total = np.array([math.fsum(compress(row, keep))
+                      for row, keep in zip(terms.tolist(), present.tolist())])
+    moments = _assembled_moments(cfg, parts)
+    assembled = moments[:, 0]
+    for p in range(1, moments.shape[1]):
+        assembled = assembled + moments[:, p]
+    bad = np.abs(total - assembled) > DUAL_PATH_RTOL * np.maximum(1.0, np.abs(assembled))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InconsistencyError(
+            f"row {i}: literal={float(total[i])!r} vs assembled={float(assembled[i])!r}")
+    negative = total < -1e-12
+    if negative.any():
+        i = int(np.argmax(negative))
+        raise InconsistencyError(f"row {i}: bound total must be nonnegative, got {total[i]}")
+    return total
 
 
 def _check_delta(delta: float, lo: float = 0.5) -> None:

@@ -8,6 +8,20 @@ check-identities  closed-form panel moments vs the quadrature oracle
 audit-corollaries shortcut coefficients vs the assembled oracle bound
 sweep             gap/bound/ratio table over a parameter grid
 
+Soundness sweep: verify-hadamard and verify-bullen draw every trial first,
+then evaluate all (trial x alpha) records in one batched pass over the
+k-panel form (k = 2 and k = 3 panels; :class:`fracbound.bounds.PanelConfigs`,
+:func:`fracbound.engine.panel_gap` and ``panel_bound``).  Its gap, bound,
+ratio and verdict equal those of the scalar functions (``hadamard_gap``,
+``bullen_bound``, ``verify`` and the rest) bit for bit, and it runs the
+same checks: config weights and node order, the literal-vs-assembled
+guard, a nonnegative bound total and a nonnegative gap and bound.  Every
+fractional power is Python's float ``**`` (libm ``pow``), applied element
+by element, not ``np.power``, whose SIMD loops differ from libm in the
+last bit on a few percent of arguments and would change report bytes.  The scalar functions
+remain the reference the tests hold the batched pass to, and the
+quadrature oracle of every tenth trial still runs through them.
+
 Determinism: every random draw comes from numpy PCG64 seeded through
 SeedSequence(entropy=seed, spawn_key=(trial,)), one splittable stream per
 trial, so trial order and concurrency cannot change the draws.  Reports
@@ -16,7 +30,9 @@ run configurations produce byte-identical files.  Wall-clock duration is
 echoed to stderr only, never into the report bytes.
 
 Exit codes: 0 all checks pass, 1 mathematical violation or residual
-breach, 2 I/O or configuration error.
+breach, 2 I/O or configuration error (including an interval too narrow
+for a witness and an order at which a power of the interval width
+overflows binary64).
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -98,6 +115,45 @@ def _f17(value) -> str:
     return str(value)
 
 
+# json.dumps(..., indent=1) puts this between the items of a record, which
+# sits at depth 3 of a report (document, records list, record).
+_RECORD_SEP = ",\n   "
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _dump_records(records: list) -> str:
+    """The text json.dumps(doc, indent=1) gives a list of records at depth 1.
+
+    The indent argument forces json's pure-Python encoder.  Flat records of
+    scalars are written by the C encoder instead, with the record item
+    separator, and the record boundaries are then re-indented; the C
+    encoder writes numbers, strings and constants as the Python one does.
+    A string cannot hold a raw line break, so "}" + separator + "{" occurs
+    only between records.  Anything else falls back to json.dumps.
+    """
+    if not records:
+        return "[]"
+    kinds = set(map(type, chain.from_iterable(r.values() for r in records)))
+    if not kinds <= _JSON_SCALARS or not all(records):
+        return json.dumps(records, indent=1).replace("\n", "\n ")
+    flat = json.dumps(records, separators=(_RECORD_SEP, ": "))
+    body = flat[2:-2].replace("}" + _RECORD_SEP + "{", "\n  },\n  {\n   ")
+    return "[\n  {\n   " + body + "\n  }\n ]"
+
+
+def _dumps_indent1(doc: dict) -> str:
+    """json.dumps(doc, indent=1) byte for byte, with the "records" list
+    written through :func:`_dump_records`."""
+    items = []
+    for key, value in doc.items():
+        if key == "records":
+            text = _dump_records(value)
+        else:
+            text = json.dumps(value, indent=1).replace("\n", "\n ")
+        items.append(f" {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 @dataclass
 class VerificationReport:
     """Harness output: run metadata, per-record results, aggregates, errata.
@@ -139,7 +195,7 @@ class VerificationReport:
         doc["aggregate"] = self.aggregate
         doc["records"] = [{c: r[c] for c in self.columns if c in r} for r in self.records]
         doc["errata"] = self.errata
-        return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+        return (_dumps_indent1(doc) + "\n").encode("utf-8")
 
     def to_csv_bytes(self) -> bytes:
         lines = []
@@ -172,80 +228,99 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _witness_for_trial(rng: np.random.Generator, run: RunConfig) -> corpus.LipschitzWitness:
-    wseed = int(rng.integers(0, 2 ** 63))
-    return corpus.random_lipschitz(wseed, run.interval, m_max=run.m_max)
-
-
 def _relative_residual(got: float, want: float) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
+# Weight and node columns of each soundness sweep; the node count is the
+# panel count k.  Hadamard records carry lam alone, its weights being
+# (lam, 1 - lam).
+SWEEP_COLUMNS = {
+    "verify-hadamard": (("lam",), ("x", "y")),
+    "verify-bullen": (("lam", "eta", "mu"), ("x", "y", "z")),
+}
+
+
+def _draw_weights(rng: np.random.Generator, k: int):
+    """Two panels: lam uniform on [0, 1], weights (lam, 1 - lam); more
+    panels: uniform on the simplex."""
+    if k == 2:
+        lam = float(rng.uniform())
+        return lam, 1.0 - lam
+    return rng.dirichlet((1.0,) * k)
+
+
+def _oracle_gap(run: RunConfig, alpha: float, weights, nodes,
+                witness: corpus.LipschitzWitness) -> float:
+    """Quadrature gap of one record through the scalar configs and engine."""
+    order = Order(alpha)
+    if len(nodes) == 2:
+        cfg = HadamardConfig(run.interval, order, weights[0], *nodes)
+        return engine.hadamard_gap(cfg, witness, method="quadrature")
+    cfg = BullenConfig(run.interval, order, *weights, *nodes)
+    return engine.bullen_gap(cfg, witness, method="quadrature")
+
+
 def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
+    """Draw every trial, then evaluate all (trial x alpha) records in one
+    batched k-panel pass; every ORACLE_CHECK_STRIDE-th trial is re-evaluated
+    through the scalar quadrature path."""
     t0 = time.perf_counter()
-    is_bullen = command == "verify-bullen"
+    weight_names, node_names = SWEEP_COLUMNS[command]
+    k = len(node_names)
     a, b = run.interval.a, run.interval.b
-    records = []
-    violations = 0
-    max_ratio = 0.0
+    trials, grid = run.trials, run.alpha_grid
+    seeds = []
+    weights = np.empty((trials, k))
+    nodes = np.empty((trials, k))
+    for trial in range(trials):
+        rng = _trial_rng(run.seed, trial)
+        seeds.append(int(rng.integers(0, 2 ** 63)))
+        weights[trial] = _draw_weights(rng, k)
+        nodes[trial] = np.sort(rng.uniform(a, b, k))
+    witnesses = corpus.random_lipschitz_arrays(seeds, run.interval, m_max=run.m_max)
+
+    # Records run trial-major: row = trial * len(grid) + grid index.
+    rows = np.repeat(np.arange(trials), len(grid))
+    cfg = bounds.PanelConfigs(run.interval, np.tile(grid, trials), weights[rows], nodes[rows])
+    record_witnesses = witnesses.take(rows)
+    gap = engine.panel_gap(cfg, record_witnesses)
+    bound = engine.panel_bound(cfg, record_witnesses.constants)
+    ratio, passed = engine.verify_panels(gap, bound)
+
+    values = {"trial": rows, "alpha": cfg.alpha}
+    values.update((name, weights[rows, p]) for p, name in enumerate(weight_names))
+    values.update((name, nodes[rows, p]) for p, name in enumerate(node_names))
+    values.update(m=record_witnesses.constants, gap=gap, bound=bound, ratio=ratio,
+                  passed=passed)
+    columns = tuple(values)
+    records = [dict(zip(columns, rec), method="oracle")
+               for rec in zip(*(v.tolist() for v in values.values()))]
+
     max_resid = 0.0
     resid_breaches = 0
     checks = 0
-    for trial in range(run.trials):
-        rng = _trial_rng(run.seed, trial)
-        witness = _witness_for_trial(rng, run)
-        if is_bullen:
-            lam, eta, mu = (float(w) for w in rng.dirichlet((1.0, 1.0, 1.0)))
-            x, y, z = sorted(float(u) for u in rng.uniform(a, b, 3))
-        else:
-            lam = float(rng.uniform())
-            x, y = sorted(float(u) for u in rng.uniform(a, b, 2))
-        for alpha in run.alpha_grid:
-            if is_bullen:
-                cfg = BullenConfig(run.interval, Order(alpha), lam, eta, mu, x, y, z)
-                gap = engine.bullen_gap(cfg, witness)
-                bound = engine.bullen_bound(cfg, witness.constant)
-            else:
-                cfg = HadamardConfig(run.interval, Order(alpha), lam, x, y)
-                gap = engine.hadamard_gap(cfg, witness)
-                bound = engine.hadamard_bound(cfg, witness.constant)
-            res = engine.verify(gap, bound)
-            if not res.passed:
-                violations += 1
-            if math.isfinite(res.ratio):
-                max_ratio = max(max_ratio, res.ratio)
-            rec = {"trial": trial, "alpha": alpha, "lam": lam, "x": x, "y": y,
-                   "m": witness.constant, "gap": gap, "bound": bound,
-                   "ratio": res.ratio, "passed": res.passed, "method": res.method}
-            if is_bullen:
-                rec.update({"eta": eta, "mu": mu, "z": z})
-            if trial % ORACLE_CHECK_STRIDE == 0:
-                if is_bullen:
-                    gq = engine.bullen_gap(cfg, witness, method="quadrature")
-                else:
-                    gq = engine.hadamard_gap(cfg, witness, method="quadrature")
-                resid = _relative_residual(gap, gq)
-                rec["oracle_residual"] = resid
-                max_resid = max(max_resid, resid)
-                resid_breaches += resid > RESIDUAL_LIMIT
-                checks += 1
-            records.append(rec)
+    for trial in range(0, trials, ORACLE_CHECK_STRIDE):
+        witness = witnesses.witness(trial)
+        for j, alpha in enumerate(grid):
+            rec = records[trial * len(grid) + j]
+            gq = _oracle_gap(run, alpha, weights[trial].tolist(), nodes[trial].tolist(),
+                             witness)
+            resid = _relative_residual(rec["gap"], gq)
+            rec["oracle_residual"] = resid
+            max_resid = max(max_resid, resid)
+            resid_breaches += resid > RESIDUAL_LIMIT
+            checks += 1
     aggregate = {
         "evaluations": len(records),
-        "violations": violations,
-        "max_ratio": max_ratio,
+        "violations": int(np.count_nonzero(~passed)),
+        "max_ratio": max([0.0] + [r for r in ratio.tolist() if math.isfinite(r)]),
         "oracle_checks": checks,
         "max_oracle_residual": max_resid,
         "oracle_residual_breaches": resid_breaches,
     }
-    if is_bullen:
-        columns = ("trial", "alpha", "lam", "eta", "mu", "x", "y", "z", "m", "gap",
-                   "bound", "ratio", "passed", "method", "oracle_residual")
-    else:
-        columns = ("trial", "alpha", "lam", "x", "y", "m", "gap", "bound", "ratio",
-                   "passed", "method", "oracle_residual")
-    return VerificationReport(command, run, columns, records, aggregate, [],
-                              time.perf_counter() - t0)
+    return VerificationReport(command, run, columns + ("method", "oracle_residual"),
+                              records, aggregate, [], time.perf_counter() - t0)
 
 
 def cmd_verify_hadamard(run: RunConfig) -> VerificationReport:
@@ -651,6 +726,10 @@ def main(argv=None) -> int:
             report = cmd_sweep(run, args.functional, args.witness)
     except (DomainError, ValueError, OSError) as exc:
         print(f"fracbound: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"fracbound: configuration error: a power overflows binary64 at "
+              f"this order and interval ({exc})", file=sys.stderr)
         return 2
     try:
         payload = report.to_bytes()

@@ -23,17 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DomainError, Interval, Order, gamma_fn
+from .quadrature import DomainError, Interval, Order, gamma_fn, power_array
 
 __all__ = [
     "LipschitzWitness",
+    "MAX_BREAKPOINT_DRAWS",
     "PiecewiseLinearFunction",
+    "WitnessArrays",
     "exact_rl_left",
     "exact_rl_mid",
+    "exact_rl_panels",
     "exact_rl_right",
     "from_text",
     "lipschitz_constant",
     "random_lipschitz",
+    "random_lipschitz_arrays",
     "tent",
     "to_text",
 ]
@@ -125,34 +129,104 @@ def tent(interval: Interval, center: float) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction((a, center, b), (center - a, 0.0, b - center))
 
 
-def random_lipschitz(seed: int, interval: Interval, segments: int = 6,
-                     m_max: float = 2.0) -> LipschitzWitness:
-    """Deterministic random witness: `segments` linear pieces on the interval.
+# Draws of the interior breakpoints before a witness draw gives up.  Any
+# interval wider than a few floats yields distinct breakpoints on the first
+# draw; one that cannot hold segments - 1 distinct interior floats never
+# would.
+MAX_BREAKPOINT_DRAWS = 100
 
-    Interior breakpoints are uniform draws (sorted, endpoints pinned),
-    slopes are uniform in [-m_max, m_max], and the starting value is
-    uniform in [-m_max, m_max].  The witness constant is computed sharply
-    from the realized slopes, so it is exact rather than just m_max.
-    Identical seeds give bit-identical witnesses.
+
+@dataclass(frozen=True, eq=False)
+class WitnessArrays:
+    """Piecewise-linear witnesses held row-wise in arrays.
+
+    ``breakpoints`` and ``values`` have one row per witness and one column
+    per breakpoint; ``constants`` holds each row's sharp Lipschitz
+    constant.  Row i is the witness :meth:`witness` builds, and calling the
+    batch evaluates every row at its own points with exactly the
+    arithmetic of :meth:`PiecewiseLinearFunction.__call__`.
+    """
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+    constants: np.ndarray
+
+    def take(self, rows) -> "WitnessArrays":
+        """The witnesses of the given rows, in that order."""
+        return WitnessArrays(self.breakpoints[rows], self.values[rows], self.constants[rows])
+
+    def witness(self, row: int) -> LipschitzWitness:
+        f = PiecewiseLinearFunction(tuple(self.breakpoints[row].tolist()),
+                                    tuple(self.values[row].tolist()))
+        return LipschitzWitness(f, float(self.constants[row]))
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """Values at ``t`` of shape (rows, j): row i of ``t`` is evaluated on witness i."""
+        bps, vals = self.breakpoints, self.values
+        t = np.asarray(t, dtype=float)
+        # bisect_right(bps, t) - 1, kept inside the segment range for the
+        # clamped ends, which are selected separately below.
+        seg = np.clip((bps[:, None, :] <= t[:, :, None]).sum(axis=2) - 1, 0, bps.shape[1] - 2)
+        t0 = np.take_along_axis(bps, seg, axis=1)
+        t1 = np.take_along_axis(bps, seg + 1, axis=1)
+        v0 = np.take_along_axis(vals, seg, axis=1)
+        v1 = np.take_along_axis(vals, seg + 1, axis=1)
+        inner = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return np.where(t <= bps[:, :1], vals[:, :1],
+                        np.where(t >= bps[:, -1:], vals[:, -1:], inner))
+
+
+def random_lipschitz_arrays(seeds, interval: Interval, segments: int = 6,
+                            m_max: float = 2.0) -> WitnessArrays:
+    """One :func:`random_lipschitz` witness per seed, held as arrays.
+
+    Draws and arithmetic are those of :func:`random_lipschitz`, so row i
+    equals ``random_lipschitz(seeds[i], ...)`` bit for bit.
     """
     if segments < 1:
         raise DomainError(f"segments must be >= 1, got {segments}")
     if m_max < 0.0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     a, b = interval.a, interval.b
-    while True:
-        interior = np.sort(rng.uniform(a, b, segments - 1))
-        bps = (a, *map(float, interior), b)
-        if all(bps[i] < bps[i + 1] for i in range(len(bps) - 1)):
-            break
-    slopes = rng.uniform(-m_max, m_max, segments)
-    start = float(rng.uniform(-m_max, m_max))
-    vals = [start]
-    for i in range(segments):
-        vals.append(vals[-1] + float(slopes[i]) * (bps[i + 1] - bps[i]))
-    f = PiecewiseLinearFunction(bps, tuple(vals))
-    return LipschitzWitness(f, lipschitz_constant(f))
+    n = len(seeds)
+    bps = np.empty((n, segments + 1))
+    bps[:, 0], bps[:, -1] = a, b
+    slopes = np.empty((n, segments))
+    vals = np.empty((n, segments + 1))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        row = bps[i]
+        for _ in range(MAX_BREAKPOINT_DRAWS):
+            row[1:-1] = np.sort(rng.uniform(a, b, segments - 1))
+            if (row[1:] > row[:-1]).all():
+                break
+        else:
+            raise DomainError(
+                f"no {segments - 1} distinct interior breakpoints in "
+                f"{MAX_BREAKPOINT_DRAWS} draws: interval [{a!r}, {b!r}] too narrow")
+        slopes[i] = rng.uniform(-m_max, m_max, segments)
+        vals[i, 0] = rng.uniform(-m_max, m_max)
+    for j in range(segments):
+        vals[:, j + 1] = vals[:, j] + slopes[:, j] * (bps[:, j + 1] - bps[:, j])
+    constants = np.abs(np.diff(vals, axis=1) / np.diff(bps, axis=1)).max(axis=1)
+    if not (np.isfinite(vals).all() and np.isfinite(constants).all()):
+        raise DomainError("witness values and Lipschitz constants must be finite")
+    return WitnessArrays(bps, vals, constants)
+
+
+def random_lipschitz(seed: int, interval: Interval, segments: int = 6,
+                     m_max: float = 2.0) -> LipschitzWitness:
+    """Deterministic random witness: `segments` linear pieces on the interval.
+
+    Interior breakpoints are uniform draws (sorted, endpoints pinned; a
+    draw with repeated breakpoints is redrawn, at most
+    MAX_BREAKPOINT_DRAWS times before DomainError), slopes are uniform in
+    [-m_max, m_max], and the starting value is uniform in [-m_max, m_max].
+    The witness constant is computed sharply from the realized slopes, so
+    it is exact rather than just m_max.  Identical seeds give bit-identical
+    witnesses.
+    """
+    return random_lipschitz_arrays((seed,), interval, segments, m_max).witness(0)
 
 
 def _clipped_segments(f: PiecewiseLinearFunction, lo: float, hi: float):
@@ -224,6 +298,70 @@ def exact_rl_mid(f: PiecewiseLinearFunction, v1: float, v2: float, order: Order)
         total += c * (w1 ** alpha - w0 ** alpha) / alpha
         total -= slope * (w1 ** (alpha + 1.0) - w0 ** (alpha + 1.0)) / (alpha + 1.0)
     return total / gamma_fn(alpha)
+
+
+def _offset_powers(dist: np.ndarray, width: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """power_array(dist, exponent) for kernel offsets 0 <= dist <= width.
+
+    Breakpoints clipped to a panel pile up on its edges, at offsets 0 and
+    width; the power of the width is taken once per row and only the
+    offsets strictly inside are powered one by one.
+    """
+    exponent = np.broadcast_to(exponent, dist.shape)
+    inside = (dist > 0.0) & (dist < width)
+    out = np.where(dist > 0.0, power_array(width[:, 0], exponent[:, 0])[:, None], 0.0)
+    out[inside] = power_array(dist[inside], exponent[inside])
+    return out
+
+
+def exact_rl_panels(witnesses: WitnessArrays, edges: np.ndarray,
+                    alpha: np.ndarray) -> np.ndarray:
+    """Closed-form panel integrals of k-panel configurations, one row each.
+
+    Row i integrates witness i at order alpha[i] over the panels cut at
+    edges[i] = (a, e_1, ..., e_{k-1}, b).  Column 0 is the left-kernel
+    panel, ``exact_rl_left(f, order, e_1)``; column p >= 1 is the
+    right-kernel panel anchored at its own right edge,
+    ``exact_rl_mid(f, e_p, e_{p+1}, order)``, which for the last panel is
+    ``exact_rl_right(f, order, e_{k-1})``.  The power rule runs segment by
+    segment in the order and with the operations of those functions, so
+    every value equals theirs bit for bit; a segment piece that misses the
+    panel adds nothing.
+    """
+    bps, vals = witnesses.breakpoints, witnesses.values
+    alpha = np.asarray(alpha, dtype=float)
+    alpha_col, alpha1_col = alpha[:, None], alpha[:, None] + 1.0
+    gammas = np.array([gamma_fn(al) for al in alpha.tolist()])
+    slope = (vals[:, 1:] - vals[:, :-1]) / (bps[:, 1:] - bps[:, :-1])
+    panels = np.empty((len(alpha), edges.shape[1] - 1))
+    for p in range(panels.shape[1]):
+        lo, hi = edges[:, p:p + 1], edges[:, p + 1:p + 2]
+        # Breakpoints clipped to the panel: segment j covers [u_j, u_{j+1}]
+        # of it, and is empty unless u_{j+1} > u_j.
+        u = np.minimum(np.maximum(bps, lo), hi)
+        s0 = u[:, :-1]
+        v_lo = vals[:, :-1] + slope * (s0 - bps[:, :-1])
+        if p == 0:
+            dist = u - lo
+            c = v_lo - slope * (s0 - lo)
+        else:
+            dist = hi - u
+            c = v_lo + slope * (hi - s0)
+        pa = _offset_powers(dist, hi - lo, alpha_col)
+        pb = _offset_powers(dist, hi - lo, alpha1_col)
+        if p == 0:
+            first = c * (pa[:, 1:] - pa[:, :-1]) / alpha_col
+            second = slope * (pb[:, 1:] - pb[:, :-1]) / alpha1_col
+        else:
+            first = c * (pa[:, :-1] - pa[:, 1:]) / alpha_col
+            second = -(slope * (pb[:, :-1] - pb[:, 1:]) / alpha1_col)
+        live = u[:, 1:] > s0
+        total = np.zeros(len(alpha))
+        for j in range(slope.shape[1]):
+            total = total + np.where(live[:, j], first[:, j], 0.0)
+            total = total + np.where(live[:, j], second[:, j], 0.0)
+        panels[:, p] = total / gammas
+    return panels
 
 
 def to_text(f: PiecewiseLinearFunction) -> str:

@@ -24,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bounds, corpus, quadrature
-from .bounds import BullenConfig, HadamardConfig, _pw
+from .bounds import BullenConfig, HadamardConfig, PanelConfigs, _pw
 from .quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
                          QuadratureSettings, gamma_fn)
 
@@ -39,7 +41,10 @@ __all__ = [
     "corollary_suite",
     "hadamard_bound",
     "hadamard_gap",
+    "panel_bound",
+    "panel_gap",
     "verify",
+    "verify_panels",
 ]
 
 SLACK_COEFF = 1e-9
@@ -169,6 +174,60 @@ def bullen_bound(config: BullenConfig, m: float) -> float:
     alpha = config.order.alpha
     width = config.interval.width
     return alpha * m * bounds.v_bullen(config).total / width ** alpha
+
+
+# ---------------------------------------------------------------------------
+# Batched k-panel evaluation
+# ---------------------------------------------------------------------------
+
+def panel_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays) -> np.ndarray:
+    """Exact gap of every row, witness row i on configuration row i:
+    :func:`hadamard_gap` (k = 2) or :func:`bullen_gap` (k = 3) with the
+    exact method, bit for bit.
+
+    | sum_p w_p^a f(x_p) - Gamma(a+1)/(b-a)^a * sum_p (panel integral p) |
+    """
+    a, b = config.interval.a, config.interval.b
+    bps = witnesses.breakpoints
+    if not ((bps[:, 0] == a) & (bps[:, -1] == b)).all():
+        raise DomainError(f"every witness must span the interval [{a}, {b}]")
+    alpha = config.alpha
+    weight_pw = quadrature.power_array(config.weights, alpha[:, None])
+    at_nodes = witnesses(config.nodes)
+    weighted = weight_pw[:, 0] * at_nodes[:, 0]
+    for p in range(1, at_nodes.shape[1]):
+        weighted = weighted + weight_pw[:, p] * at_nodes[:, p]
+    panels = corpus.exact_rl_panels(witnesses, config.edges, alpha)
+    integrals = panels[:, 0]
+    for p in range(1, panels.shape[1]):
+        integrals = integrals + panels[:, p]
+    scale = np.array([gamma_fn(al + 1.0) / (b - a) ** al for al in alpha.tolist()])
+    return np.abs(weighted - scale * integrals)
+
+
+def panel_bound(config: PanelConfigs, m: np.ndarray) -> np.ndarray:
+    """alpha * M * coefficient / (b-a)^alpha for every row, bit for bit
+    :func:`hadamard_bound` (k = 2) or :func:`bullen_bound` (k = 3)."""
+    m = np.asarray(m, dtype=float)
+    if (m < 0.0).any():
+        raise DomainError(f"Lipschitz constant must be >= 0, got {m.min()}")
+    width = config.interval.width
+    scale = np.array([width ** al for al in config.alpha.tolist()])
+    return config.alpha * m * bounds.v_panels(config) / scale
+
+
+def verify_panels(gap: np.ndarray, bound: np.ndarray):
+    """:func:`verify` on every row: returns (ratio, passed) arrays."""
+    bad = (gap < 0.0) | (bound < 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"gap and bound must be nonnegative, got {gap[i]}, {bound[i]}")
+    slack = SLACK_COEFF * (1.0 + bound)
+    passed = gap <= bound + slack
+    positive = bound > 0.0
+    ratio = np.where(positive, gap / np.where(positive, bound, 1.0),
+                     np.where(gap <= slack, 0.0, math.inf))
+    return ratio, passed
 
 
 # ---------------------------------------------------------------------------

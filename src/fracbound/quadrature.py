@@ -22,9 +22,11 @@ shared mutable state and concurrent use is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy import integrate
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "QuadratureToleranceError",
     "abs_moment_quadrature",
     "gamma_fn",
+    "power_array",
     "rl_left",
     "rl_mid",
     "rl_right",
@@ -99,6 +102,24 @@ def _gamma_self_check() -> None:
 
 
 _gamma_self_check()
+
+
+def power_array(base, exponent) -> np.ndarray:
+    """Elementwise base ** exponent, with 0 for every base <= 0.
+
+    ``exponent`` broadcasts against ``base``.  Each power is Python's
+    float ``**`` (``operator.pow``), i.e. the platform libm ``pow``, so an
+    array result equals the scalar expression bit for bit.
+    ``np.power`` does not: its SIMD loops differ from libm in the last bit
+    on a few percent of arguments.  The clamp is the limit convention
+    0^e = 0 for e > 0, applied also to bases that rounding pushed a hair
+    below zero.  Overflow raises OverflowError, as the scalar ``**`` does.
+    """
+    base = np.asarray(base, dtype=float)
+    exps = np.broadcast_to(np.asarray(exponent, dtype=float), base.shape)
+    clamped = np.where(base <= 0.0, 0.0, base)
+    powers = map(operator.pow, clamped.ravel().tolist(), exps.ravel().tolist())
+    return np.fromiter(powers, dtype=float, count=base.size).reshape(base.shape)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,232 @@
+"""The batched k-panel pass against its oracle, the scalar functions.
+
+Every comparison is exact (==): the batched gap, bound, ratio and verdict
+must equal engine.hadamard_gap/hadamard_bound, engine.bullen_gap/
+bullen_bound and engine.verify bit for bit, so no report changes.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from fracbound import bounds, engine
+from fracbound.bounds import (BullenConfig, HadamardConfig, InconsistencyError,
+                              PanelConfigs, v_bullen, v_hadamard)
+from fracbound.cli import RunConfig, cmd_verify_bullen, cmd_verify_hadamard
+from fracbound.corpus import (WitnessArrays, exact_rl_left, exact_rl_mid,
+                              exact_rl_panels, exact_rl_right, random_lipschitz,
+                              random_lipschitz_arrays, tent)
+from fracbound.quadrature import DomainError, Interval, Order, power_array
+
+ALPHAS = (0.25, 0.5, 1.0, 1.5, 3.5)
+INTERVALS = (Interval(0.0, 1.0), Interval(-3.0, 5.0), Interval(1000.0, 1002.0))
+TWO_NODE_LAMS = (0.0, 0.3, 0.5, 0.8, 1.0)
+THREE_NODE_WEIGHTS = ((0.2, 0.5, 0.3), (0.0, 0.6, 0.4), (0.35, 0.0, 0.65),
+                      (0.45, 0.55, 0.0), (1.0, 0.0, 0.0))
+
+
+def witness_rows(witness, n: int) -> WitnessArrays:
+    f = witness.function
+    return WitnessArrays(np.tile(f.breakpoints, (n, 1)), np.tile(f.values, (n, 1)),
+                         np.full(n, witness.constant))
+
+
+def witnesses(itv: Interval):
+    return (random_lipschitz(11, itv), random_lipschitz(12, itv, m_max=0.0),
+            random_lipschitz(13, itv, segments=1),
+            engine.corpus.LipschitzWitness(tent(itv, (itv.a + itv.b) / 2.0), 1.0))
+
+
+def node_candidates(itv: Interval, edges) -> list:
+    """Interval ends, panel edges and panel midpoints: every sorted choice
+    of k of them (with repetition) hits every ordering case, ties included."""
+    points = set(edges) | {itv.a, itv.b}
+    cuts = sorted(points)
+    points |= {(lo + hi) / 2.0 for lo, hi in zip(cuts, cuts[1:])}
+    return sorted(points)
+
+
+def two_node_cases(itv: Interval):
+    for alpha, lam in itertools.product(ALPHAS, TWO_NODE_LAMS):
+        v = HadamardConfig(itv, Order(alpha), lam, itv.a, itv.a).v_node
+        for nodes in itertools.combinations_with_replacement(node_candidates(itv, (v,)), 2):
+            yield HadamardConfig(itv, Order(alpha), lam, *nodes), (lam, 1.0 - lam), nodes
+
+
+def three_node_cases(itv: Interval):
+    for alpha, weights in itertools.product(ALPHAS, THREE_NODE_WEIGHTS):
+        probe = BullenConfig(itv, Order(alpha), *weights, itv.a, itv.a, itv.a)
+        edges = (probe.v1_node, probe.v2_node)
+        for nodes in itertools.combinations_with_replacement(node_candidates(itv, edges), 3):
+            yield BullenConfig(itv, Order(alpha), *weights, *nodes), weights, nodes
+
+
+SCALAR = {
+    2: (two_node_cases, engine.hadamard_gap, engine.hadamard_bound, v_hadamard),
+    3: (three_node_cases, engine.bullen_gap, engine.bullen_bound, v_bullen),
+}
+
+
+@pytest.mark.parametrize("itv", INTERVALS, ids=lambda i: f"[{i.a:g},{i.b:g}]")
+@pytest.mark.parametrize("k", (2, 3))
+def test_batched_equals_scalar_exactly(k, itv):
+    cases_fn, gap_fn, bound_fn, v_fn = SCALAR[k]
+    cases = list(cases_fn(itv))
+    tags = {v_fn(cfg).case_tag for cfg, _, _ in cases}
+    assert len(tags) == (3 if k == 2 else 8)
+    batch = PanelConfigs(itv, [cfg.order.alpha for cfg, _, _ in cases],
+                         [w for _, w, _ in cases], [x for _, _, x in cases])
+    for witness in witnesses(itv):
+        rows = witness_rows(witness, len(cases))
+        gap = engine.panel_gap(batch, rows)
+        bound = engine.panel_bound(batch, rows.constants)
+        ratio, passed = engine.verify_panels(gap, bound)
+        want = []
+        for cfg, _, _ in cases:
+            g = gap_fn(cfg, witness)
+            bd = bound_fn(cfg, witness.constant)
+            res = engine.verify(g, bd)
+            want.append((g, bd, res.ratio, res.passed))
+        got = list(zip(gap.tolist(), bound.tolist(), ratio.tolist(), passed.tolist()))
+        mismatched = [(cfg, w, g) for cfg, w, g in zip((c for c, _, _ in cases), want, got)
+                      if w != g]
+        assert not mismatched, mismatched[:3]
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_batched_edges_encodings_and_panel_integrals_exact(k):
+    itv = Interval(-3.0, 5.0)
+    cases = list(SCALAR[k][0](itv))
+    batch = PanelConfigs(itv, [cfg.order.alpha for cfg, _, _ in cases],
+                         [w for _, w, _ in cases], [x for _, _, x in cases])
+    parts = bounds._panel_forms(batch)
+    moments = bounds._assembled_moments(batch, parts)
+    assembled = moments[:, 0]
+    for p in range(1, k):
+        assembled = assembled + moments[:, p]
+    breakdowns = [SCALAR[k][3](cfg) for cfg, _, _ in cases]
+    assert assembled.tolist() == [bd.cross_total for bd in breakdowns]
+    assert bounds.v_panels(batch).tolist() == [bd.total for bd in breakdowns]
+    f = random_lipschitz(5, itv).function
+    rows = witness_rows(random_lipschitz(5, itv), len(cases))
+    panels = exact_rl_panels(rows, batch.edges, batch.alpha)
+    for i, (cfg, _, _) in enumerate(cases):
+        edges = (cfg.v_node,) if k == 2 else (cfg.v1_node, cfg.v2_node)
+        assert batch.edges[i].tolist() == [itv.a, *edges, itv.b]
+        want = [exact_rl_left(f, cfg.order, edges[0])]
+        want += [exact_rl_mid(f, lo, hi, cfg.order) for lo, hi in zip(edges, edges[1:])]
+        want += [exact_rl_right(f, cfg.order, edges[-1])]
+        assert panels[i].tolist() == want
+
+
+def test_witness_arrays_equal_scalar_witnesses():
+    itv = Interval(-3.0, 5.0)
+    seeds = [0, 7, 2 ** 62 + 5, 123456789]
+    arrays = random_lipschitz_arrays(seeds, itv, m_max=1.5)
+    probes = np.array([[-4.0, -3.0, -1.2345, 0.0, 2.5, 4.999, 5.0, 6.0]] * len(seeds))
+    values = arrays(probes)
+    for i, seed in enumerate(seeds):
+        w = random_lipschitz(seed, itv, m_max=1.5)
+        assert arrays.witness(i) == w
+        points = list(probes[i]) + list(w.function.breakpoints)
+        got = arrays(np.array([points])[[0] * len(seeds)])[i].tolist()
+        assert got == [w.function(t) for t in points]
+        assert values[i].tolist() == [w.function(t) for t in probes[i]]
+
+
+def test_power_array_is_libm_pow():
+    rng = np.random.default_rng(3)
+    base = np.concatenate([rng.uniform(0.0, 3.0, 5000), [0.0, -0.0, -1e-17, 1.0, 2.0]])
+    for e in (0.25, 0.5, 1.0, 1.5, 3.5, 4.5):
+        want = [0.0 if x <= 0.0 else x ** e for x in base.tolist()]
+        assert power_array(base, e).tolist() == want
+    with pytest.raises(OverflowError):
+        power_array(np.array([1e10]), 170.0)
+
+
+# ----------------------------------------------------------------------
+# the checks the scalar configs and bound run still fire
+# ----------------------------------------------------------------------
+
+ITV = Interval(0.0, 1.0)
+
+
+@pytest.mark.parametrize("weights, nodes", [
+    ([[1.5, -0.5]], [[0.2, 0.4]]),                  # lam outside [0, 1]
+    ([[0.3, 0.3, 0.3]], [[0.2, 0.4, 0.6]]),         # weights do not sum to 1
+    ([[-0.1, 0.6, 0.5]], [[0.2, 0.4, 0.6]]),        # negative weight
+    ([[0.5, 0.5]], [[0.4, 0.2]]),                   # nodes out of order
+    ([[0.2, 0.5, 0.3]], [[0.2, 0.6, 0.4]]),
+    ([[0.2, 0.5, 0.3]], [[-0.1, 0.4, 0.6]]),        # node outside the interval
+    ([[0.5, 0.5]], [[0.2, 1.5]]),
+])
+def test_panel_configs_reject_what_scalar_configs_reject(weights, nodes):
+    w, x = weights[0], nodes[0]
+    with pytest.raises(DomainError):
+        if len(x) == 2:
+            HadamardConfig(ITV, Order(1.0), w[0], *x)
+        else:
+            BullenConfig(ITV, Order(1.0), *w, *x)
+    ok_w = [[0.5, 0.5]] if len(x) == 2 else [[0.2, 0.5, 0.3]]
+    ok_x = [[0.2, 0.4]] if len(x) == 2 else [[0.2, 0.4, 0.6]]
+    with pytest.raises(DomainError):
+        PanelConfigs(ITV, [1.0, 1.0], ok_w + weights, ok_x + nodes)
+
+
+def test_panel_configs_reject_bad_orders():
+    with pytest.raises(DomainError):
+        PanelConfigs(ITV, [200.0], [[0.5, 0.5]], [[0.2, 0.4]])
+    with pytest.raises(DomainError):
+        PanelConfigs(ITV, [math.nan], [[0.5, 0.5]], [[0.2, 0.4]])
+
+
+def _corrupt(fn, index, delta):
+    def corrupted(*args):
+        out = fn(*args)
+        arr = out[0] if isinstance(out, tuple) else out
+        arr[index] += delta
+        return out
+    return corrupted
+
+
+@pytest.mark.parametrize("sweep", (cmd_verify_hadamard, cmd_verify_bullen))
+def test_corrupted_literal_term_raises(sweep, monkeypatch):
+    # row 5, the node term of the first panel
+    monkeypatch.setattr(bounds, "_literal_terms", _corrupt(bounds._literal_terms, (5, 1), 1e-6))
+    with pytest.raises(InconsistencyError, match="row 5"):
+        sweep(RunConfig(trials=3))
+
+
+@pytest.mark.parametrize("sweep", (cmd_verify_hadamard, cmd_verify_bullen))
+def test_corrupted_assembled_moment_raises(sweep, monkeypatch):
+    monkeypatch.setattr(bounds, "_assembled_moments",
+                        _corrupt(bounds._assembled_moments, (7, 1), -1e-6))
+    with pytest.raises(InconsistencyError, match="row 7"):
+        sweep(RunConfig(trials=3))
+
+
+def test_negative_bound_total_raises(monkeypatch):
+    def negated(fn):
+        def inner(*args):
+            out = fn(*args)
+            arr = out[0] if isinstance(out, tuple) else out
+            arr *= -1.0
+            return out
+        return inner
+    monkeypatch.setattr(bounds, "_literal_terms", negated(bounds._literal_terms))
+    monkeypatch.setattr(bounds, "_assembled_moments", negated(bounds._assembled_moments))
+    with pytest.raises(InconsistencyError, match="nonnegative"):
+        cmd_verify_bullen(RunConfig(trials=2))
+
+
+def test_verify_panels_matches_verify_and_rejects_negatives():
+    gap = np.array([0.0, 0.5, 1.0, 1.0, 2.0 + 3e-9, 1e-10])
+    bound = np.array([0.0, 0.5, 0.5, 0.0, 2.0, 0.0])
+    ratio, passed = engine.verify_panels(gap, bound)
+    for g, bd, r, p in zip(gap.tolist(), bound.tolist(), ratio.tolist(), passed.tolist()):
+        res = engine.verify(g, bd)
+        assert (r, p) == (res.ratio, res.passed)
+    with pytest.raises(DomainError):
+        engine.verify_panels(np.array([0.1]), np.array([-1e-13]))

@@ -249,3 +249,26 @@ def test_console_entry_point_subprocess(tmp_path):
     assert proc.returncode == 0
     assert "verify-hadamard" in proc.stderr
     assert json.loads(out.read_bytes())["aggregate"]["violations"] == 0
+
+
+def test_main_exit_2_on_one_ulp_interval():
+    # Five distinct interior breakpoints cannot fit between two adjacent
+    # floats: the witness draw must give up with a configuration error
+    # instead of redrawing forever.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracbound.cli", "verify-bullen",
+         "--interval", "1,1.0000000000000002", "--trials", "3"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_exit_2_on_power_overflow(capsys):
+    code = main(["verify-bullen", "--interval", "0,1e10", "--alpha", "170",
+                 "--trials", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("fracbound: configuration error:")
