@@ -1,8 +1,10 @@
-"""Golden report bytes of the soundness sweeps, and the JSON writer.
+"""Golden report bytes of every subcommand, and the JSON writer.
 
-The digests were recorded with the per-record scalar sweep (one config,
-exact gap and dual-path bound per record).  The batched k-panel pass must
-reproduce them byte for byte; so must any later rework of the sweep.
+The verify digests were recorded with the per-record scalar sweep (one
+config, exact gap and dual-path bound per record); the check-identities,
+audit-corollaries and sweep digests with the per-node-count panel
+moments, gaps and bounds.  Every later rework of the evaluators must
+reproduce them byte for byte.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 from fracbound.cli import (RunConfig, VerificationReport, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
                            cmd_verify_hadamard, main)
+from fracbound.corpus import random_lipschitz, to_text
 from fracbound.quadrature import Interval
 
 GOLDEN_ALPHAS = ("0.25", "1", "3.5")
@@ -64,6 +67,102 @@ def test_verify_report_golden_digest(case, tmp_path):
         argv += ["--alpha", alpha]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
+
+
+# (command, seed, interval, format) -> sha256 of the report bytes.
+GOLDEN_REPORT_SHA256 = {
+    ('check-identities', 1, '0,1', 'json'):
+        "07020f0ee122e9023a8ad40b6b2f045232ddf04a96dc0db0d49e981c48b3f43b",
+    ('check-identities', 1, '0,1', 'csv'):
+        "43d9553b4f82970870815b202265fbd83b5687b4408436a91ba4de506f208845",
+    ('check-identities', 1, '-3,5', 'json'):
+        "5586853308d53cb346fc489c70c1baa37fe2a9d07ef26e6cd37b6067b4d9f1cf",
+    ('check-identities', 1, '-3,5', 'csv'):
+        "4e895bd9a7261316e7f904b360319bce8f8ec1e8faab8aeccebdb4f9d3ed32d1",
+    ('audit-corollaries', 1, '0,1', 'json'):
+        "d437477cab0ea4a22585b91296854d9917ca33f761e482423f0af7df71e3cfe4",
+    ('audit-corollaries', 1, '0,1', 'csv'):
+        "be107e2de0b506d5d986e6692b885605aeb8ca0ef5ff6518471556eaf8a40d31",
+    ('check-identities', 42, '0,1', 'json'):
+        "c0fb88487e9b8d867cf35c9e7ed122d6e68581a648d77593bc209c5bafdb4973",
+    ('check-identities', 42, '0,1', 'csv'):
+        "c7573715bb97368482e530743dc1e4b6539439f8bf0b371f8767f7135fdf9e60",
+    ('check-identities', 42, '-3,5', 'json'):
+        "c6ea7ae500d4d22de57c2d1b3fd1a41e1147c1b817f7985eb9f7e0168b9a2989",
+    ('check-identities', 42, '-3,5', 'csv'):
+        "4d5cc8ad603dc03ce9fe053f623211fce14333f8c5a93971bda6ff46fd142a73",
+    ('audit-corollaries', 42, '0,1', 'json'):
+        "acd099b0f1ae7beb93e2adb074fd726eae1194741d2beea82b94b9223c04fabb",
+    ('audit-corollaries', 42, '0,1', 'csv'):
+        "a520fd625c7f6fe744c6f0835ec3609a4a50113c2313951742b54ffbf0537dd7",
+}
+
+# (command, witness, interval, format) -> sha256 of the report bytes;
+# "tent" is the default witness, "random7" is random_lipschitz(7, ...)
+# written with to_text and passed as --witness.
+GOLDEN_SWEEP_SHA256 = {
+    ('sweep-hadamard', 'tent', '0,1', 'json'):
+        "1d4f2a89fb65dd3f869352ceaa068caffe45f519f9fb63e65aead51d2e1ced55",
+    ('sweep-hadamard', 'tent', '0,1', 'csv'):
+        "b7d85246c5c38735dafe956b49733c62bae9c56348e64534a01c4c7b4559c888",
+    ('sweep-hadamard', 'tent', '-3,5', 'json'):
+        "98271e0485d50f2ea8b11826dc8b9a3017cc07dd027637ca11334360aeb01100",
+    ('sweep-hadamard', 'tent', '-3,5', 'csv'):
+        "d15bd1fc0c35a6d029672434e77eda04beb3ab506b9cfcfcb2f2e29e8a9ed49b",
+    ('sweep-hadamard', 'random7', '0,1', 'json'):
+        "6d5bab38b5787ec041a436bdc2f2a0da0ff82985b0fde273aef4617367d4a917",
+    ('sweep-hadamard', 'random7', '0,1', 'csv'):
+        "d1d7ceda3120021adfb197ea7e1fd1390111b47316449f4187f46ba0331a037b",
+    ('sweep-hadamard', 'random7', '-3,5', 'json'):
+        "821904bf21f083a8ef864325dab498bf701d086dc71bf0e4c2894fd4499128fa",
+    ('sweep-hadamard', 'random7', '-3,5', 'csv'):
+        "6a3e0d02d2b9cb8dab1e6d5aeaad18e3b2eddfbcb363a5ba2f62a50b35a1498e",
+    ('sweep-bullen', 'tent', '0,1', 'json'):
+        "9e6eaa41f68186e4a6b3de3595c99a88510f1d07548d667fa3ae446d54cc8c48",
+    ('sweep-bullen', 'tent', '0,1', 'csv'):
+        "ca737311b763bae543e63f52ce5e9675b970c10e55f5a87107a7635d94ea92a0",
+    ('sweep-bullen', 'tent', '-3,5', 'json'):
+        "5c2e97e6532cca438fec37ac8ba500f6f6481d74453af9d8e21eb12a498c0af8",
+    ('sweep-bullen', 'tent', '-3,5', 'csv'):
+        "907b2c41a90a0bf539ecf917058c47e35b97744de8b088b4d6a6f3ceb0eadc03",
+    ('sweep-bullen', 'random7', '0,1', 'json'):
+        "9740b67c001db02f4212b4fcce33ac225b0a5d4d2f2b371e2886148514b17c4f",
+    ('sweep-bullen', 'random7', '0,1', 'csv'):
+        "51e89600035eadb2f38e56b972b5baf5a569034d6373519cb7e6cc4fe97a1e34",
+    ('sweep-bullen', 'random7', '-3,5', 'json'):
+        "90c80a8ebe251121ae2006bbc90e75ae8c3d38c986181b99015f3c8ef665ab29",
+    ('sweep-bullen', 'random7', '-3,5', 'csv'):
+        "a28f6ace84bc5f9682ca050d4008b98e7d31c4d171f84e8778650dae3970db10",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=lambda c: "-".join(map(str, c)))
+def test_identities_and_audit_report_golden_digest(case, tmp_path):
+    command, seed, interval, fmt = case
+    out = tmp_path / f"report.{fmt}"
+    argv = [command, "--seed", str(seed), f"--interval={interval}", "--format", fmt,
+            "--out", str(out)]
+    for alpha in GOLDEN_ALPHAS:
+        argv += ["--alpha", alpha]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SWEEP_SHA256), ids=lambda c: "-".join(map(str, c)))
+def test_sweep_report_golden_digest(case, tmp_path):
+    command, witness, interval, fmt = case
+    out = tmp_path / f"report.{fmt}"
+    argv = ["sweep", command.split("-")[1], f"--interval={interval}", "--format", fmt,
+            "--out", str(out)]
+    if witness == "random7":
+        path = tmp_path / "witness.txt"
+        a, b = map(float, interval.split(","))
+        path.write_text(to_text(random_lipschitz(7, Interval(a, b)).function))
+        argv += ["--witness", str(path)]
+    for alpha in GOLDEN_ALPHAS:
+        argv += ["--alpha", alpha]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256[case]
 
 
 # ----------------------------------------------------------------------
