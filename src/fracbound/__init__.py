@@ -9,8 +9,7 @@ gap <= bound against independent quadrature oracles.
 __version__ = "0.1.0"
 
 from .bounds import (BoundBreakdown, BullenConfig, HadamardConfig,
-                     InconsistencyError, abs_moment_left_closed,
-                     abs_moment_mid_closed, abs_moment_right_closed, l_coeff,
+                     InconsistencyError, PanelConfig, abs_moment_closed, l_coeff,
                      l_coeff_reference, n_case_index, n_coeff, n_coeff_reference,
                      unit_order_two_point_table, v_bullen, v_hadamard,
                      weighted_bullen_coeff, weighted_bullen_reference)
@@ -18,8 +17,8 @@ from .corpus import (LipschitzWitness, PiecewiseLinearFunction, exact_rl_left,
                      exact_rl_mid, exact_rl_right, from_text, lipschitz_constant,
                      random_lipschitz, tent, to_text)
 from .engine import (CorollaryFinding, CorollaryParams, ErratumEntry, GapResult,
-                     bullen_bound, bullen_gap, corollary_suite, hadamard_bound,
-                     hadamard_gap, verify)
+                     bullen_bound, bullen_gap, config_gap, corollary_suite,
+                     hadamard_bound, hadamard_gap, verify)
 from .quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
                          QuadratureSettings, QuadratureToleranceError,
                          abs_moment_quadrature, gamma_fn, rl_left, rl_mid,
@@ -39,15 +38,15 @@ __all__ = [
     "Interval",
     "LipschitzWitness",
     "Order",
+    "PanelConfig",
     "PiecewiseLinearFunction",
     "QuadratureSettings",
     "QuadratureToleranceError",
-    "abs_moment_left_closed",
-    "abs_moment_mid_closed",
+    "abs_moment_closed",
     "abs_moment_quadrature",
-    "abs_moment_right_closed",
     "bullen_bound",
     "bullen_gap",
+    "config_gap",
     "corollary_suite",
     "exact_rl_left",
     "exact_rl_mid",

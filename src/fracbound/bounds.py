@@ -1,32 +1,32 @@
 """Closed-form weighted absolute-moment integrals and piecewise bound coefficients.
 
-Every bound coefficient evaluated here is, underneath, a sum of panel
-moments
+Both inequalities are one k-panel functional: weights w_1..w_k, sorted
+nodes, and panels cut at the cumulative weights, with the left kernel
+(t - a)^(alpha-1) on the first panel and on every later panel the right
+kernel anchored at that panel's own right edge.  k = 2 is the
+Hadamard-type configuration, k = 3 the Bullen-type one
+(:attr:`HadamardConfig.panels`, :attr:`BullenConfig.panels`).  Every bound
+coefficient is a sum of panel moments
 
     int over panel |node - t| * (power kernel)^(alpha-1) dt
 
-and each moment closes under the power rule.  Two independent encodings
-are kept for the full two-panel and three-panel coefficients:
+and one closed form, :func:`abs_moment_closed`, gives each of them: the
+right-kernel moment for any node, and the left-kernel moment as the same
+function on the negated panel.  Two independent encodings are kept for the
+full two-panel and three-panel coefficients:
 
   * a per-ordering literal term list (one closed expression per ordering
     of the nodes against the panel edges), and
-  * an assembly from the three panel-moment functions.
+  * the sum of the panel moments.
 
 ``v_hadamard`` / ``v_bullen`` evaluate both and raise
 :class:`InconsistencyError` if they disagree beyond 1e-12 relative, which
 catches transcription slips in either encoding.  The moment assembly is
 the encoding that is pinned against the adaptive-quadrature oracle in the
 test suite, so agreement chains both encodings down to raw quadrature.
-
-Orientation note for the middle panel: when the node y lies left of the
-panel [v1, v2], |y - t| = t - y throughout, so the closed form is
-w^a * ((v2-y)/a - w/(a+1)) with w = v2 - v1; the node-distance term
-dominates and the value is positive.  The mirrored bracket is negative
-there and fails both the quadrature cross-check and continuity at
-y = v1, so only this orientation is used.  The corresponding literal
-three-point corner-weight coefficient (``n_coeff`` orderings 7 and 8)
-intentionally keeps the mirrored bracket so the audit can measure it;
-see ``n_coeff``.
+The literal three-point corner-weight coefficient (``n_coeff`` orderings
+7 and 8) intentionally keeps a mirrored middle-panel bracket so the audit
+can measure it; see ``n_coeff``.
 
 Case selection at exact ordering boundaries takes the lowest-index
 ordering; adjacent orderings agree there (continuity), so the choice
@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,10 +50,9 @@ __all__ = [
     "BullenConfig",
     "HadamardConfig",
     "InconsistencyError",
+    "PanelConfig",
     "PanelConfigs",
-    "abs_moment_left_closed",
-    "abs_moment_mid_closed",
-    "abs_moment_right_closed",
+    "abs_moment_closed",
     "bullen_remark_coeff",
     "l_coeff",
     "l_coeff_reference",
@@ -82,58 +83,23 @@ def _pw(base: float, exponent: float) -> float:
     return 0.0 if base <= 0.0 else base ** exponent
 
 
-def abs_moment_left_closed(x: float, anchor_a: float, upper_v: float, order: Order) -> float:
-    """int_anchor^upper |x - t| (t - anchor)^(alpha-1) dt in closed form.
+def abs_moment_closed(y: float, lo: float, hi: float, order: Order) -> float:
+    """int_lo^hi |y - t| (hi - t)^(alpha-1) dt in closed form, any real y.
 
-    Requires x >= anchor (nodes left of the left kernel anchor do not occur
-    in any bound here).
+    Three branches: node at or right of the panel (y >= hi), node inside,
+    node at or left of the panel (y <= lo); adjacent branches agree at
+    y = lo and y = hi.  The left-kernel moment
+    int_a^v |x - t| (t - a)^(alpha-1) dt is this function at (-x, -v, -a):
+    t -> -t maps one onto the other, and negation is exact in binary64.
     """
-    if upper_v < anchor_a:
-        raise DomainError(f"need anchor_a <= upper_v, got {anchor_a} > {upper_v}")
-    if x < anchor_a:
-        raise DomainError(f"node x={x} left of kernel anchor {anchor_a}")
+    if hi < lo:
+        raise DomainError(f"need lo <= hi, got {lo} > {hi}")
     alpha = order.alpha
-    w = upper_v - anchor_a
-    p = x - anchor_a
-    if x >= upper_v:
-        return _pw(w, alpha) * (p / alpha - w / (alpha + 1.0))
-    return (2.0 * _pw(p, alpha + 1.0) / (alpha * (alpha + 1.0))
-            + _pw(w, alpha) * (w / (alpha + 1.0) - p / alpha))
-
-
-def abs_moment_right_closed(y: float, lower_v: float, anchor_b: float, order: Order) -> float:
-    """int_lower^anchor |y - t| (anchor - t)^(alpha-1) dt in closed form.
-
-    Mirror of :func:`abs_moment_left_closed`; requires y <= anchor.
-    """
-    if anchor_b < lower_v:
-        raise DomainError(f"need lower_v <= anchor_b, got {lower_v} > {anchor_b}")
-    if y > anchor_b:
-        raise DomainError(f"node y={y} right of kernel anchor {anchor_b}")
-    alpha = order.alpha
-    w = anchor_b - lower_v
-    q = anchor_b - y
-    if y <= lower_v:
-        return _pw(w, alpha) * (q / alpha - w / (alpha + 1.0))
-    return (2.0 * _pw(q, alpha + 1.0) / (alpha * (alpha + 1.0))
-            + _pw(w, alpha) * (w / (alpha + 1.0) - q / alpha))
-
-
-def abs_moment_mid_closed(y: float, v1: float, v2: float, order: Order) -> float:
-    """int_v1^v2 |y - t| (v2 - t)^(alpha-1) dt in closed form, any real y.
-
-    Three branches: node right of the panel (y >= v2), node inside, node
-    left of the panel (y < v1).  Adjacent branches agree at y = v1 and
-    y = v2.
-    """
-    if v2 < v1:
-        raise DomainError(f"need v1 <= v2, got {v1} > {v2}")
-    alpha = order.alpha
-    w = v2 - v1
-    r = v2 - y
-    if y >= v2:
-        return _pw(w, alpha) * ((y - v2) / alpha + w / (alpha + 1.0))
-    if y >= v1:
+    w = hi - lo
+    r = hi - y
+    if y >= hi:
+        return _pw(w, alpha) * ((y - hi) / alpha + w / (alpha + 1.0))
+    if y > lo:
         return (2.0 * _pw(r, alpha + 1.0) / (alpha * (alpha + 1.0))
                 + _pw(w, alpha) * (w / (alpha + 1.0) - r / alpha))
     return _pw(w, alpha) * (r / alpha - w / (alpha + 1.0))
@@ -141,6 +107,48 @@ def abs_moment_mid_closed(y: float, v1: float, v2: float, order: Order) -> float
 
 def _clamp(t: float, lo: float, hi: float) -> float:
     return lo if t < lo else hi if t > hi else t
+
+
+class PanelConfig(NamedTuple):
+    """One k-panel configuration, already checked by whatever built it
+    (:attr:`HadamardConfig.panels`, :attr:`BullenConfig.panels`,
+    :meth:`PanelConfigs.row`).
+
+    Panel p spans [edges[p], edges[p+1]] and carries node ``nodes[p]`` with
+    weight ``weights[p]``; edges run a = e_0 <= ... <= e_k = b.
+    """
+
+    interval: Interval
+    order: Order
+    weights: tuple
+    nodes: tuple
+    edges: tuple
+
+
+def _panel_edges(interval: Interval, weights: tuple) -> tuple:
+    # e_p = (1 - P_p)*a + P_p*b clamped to [e_{p-1}, b], P_p the sum of the
+    # first p weights; the last interior edge takes the last weight in
+    # place of 1 - P_p.  PanelConfigs computes the same edges as arrays.
+    a, b = interval.a, interval.b
+    k = len(weights)
+    edges = [a]
+    prefix = weights[0]
+    for p in range(1, k):
+        left = weights[-1] if p == k - 1 else 1.0 - prefix
+        edges.append(_clamp(left * a + prefix * b, edges[-1], b))
+        prefix += weights[p]
+    edges.append(b)
+    return tuple(edges)
+
+
+def _moment_sum(panels: PanelConfig) -> float:
+    """Sum of the panel moments at the panel nodes, the first panel
+    reflected onto the right kernel."""
+    order, nodes, edges = panels.order, panels.nodes, panels.edges
+    total = abs_moment_closed(-nodes[0], -edges[1], -edges[0], order)
+    for p in range(1, len(nodes)):
+        total += abs_moment_closed(nodes[p], edges[p], edges[p + 1], order)
+    return total
 
 
 @dataclass(frozen=True)
@@ -164,10 +172,16 @@ class HadamardConfig:
         if not (a <= self.x <= self.y <= b):
             raise DomainError(f"need a <= x <= y <= b, got x={self.x}, y={self.y} on [{a}, {b}]")
 
+    @cached_property
+    def panels(self) -> PanelConfig:
+        """The k-panel view: weights (lam, 1 - lam), nodes (x, y), edges (a, V, b)."""
+        weights = (self.lam, 1.0 - self.lam)
+        return PanelConfig(self.interval, self.order, weights, (self.x, self.y),
+                           _panel_edges(self.interval, weights))
+
     @property
     def v_node(self) -> float:
-        a, b = self.interval.a, self.interval.b
-        return _clamp((1.0 - self.lam) * a + self.lam * b, a, b)
+        return self.panels.edges[1]
 
 
 @dataclass(frozen=True)
@@ -205,15 +219,21 @@ class BullenConfig:
             raise DomainError(
                 f"need a <= x <= y <= z <= b, got ({self.x}, {self.y}, {self.z}) on [{a}, {b}]")
 
+    @cached_property
+    def panels(self) -> PanelConfig:
+        """The k-panel view: weights (lam, eta, mu), nodes (x, y, z), edges
+        (a, V1, V2, b)."""
+        weights = (self.lam, self.eta, self.mu)
+        return PanelConfig(self.interval, self.order, weights, (self.x, self.y, self.z),
+                           _panel_edges(self.interval, weights))
+
     @property
     def v1_node(self) -> float:
-        a, b = self.interval.a, self.interval.b
-        return _clamp((1.0 - self.lam) * a + self.lam * b, a, b)
+        return self.panels.edges[1]
 
     @property
     def v2_node(self) -> float:
-        a, b = self.interval.a, self.interval.b
-        return _clamp(self.mu * a + (self.lam + self.eta) * b, self.v1_node, b)
+        return self.panels.edges[2]
 
 
 @dataclass(frozen=True)
@@ -261,9 +281,7 @@ def v_hadamard(config: HadamardConfig) -> BoundBreakdown:
     a, b = config.interval.a, config.interval.b
     alpha = config.order.alpha
     x, y, v = config.x, config.y, config.v_node
-
-    assembled = (abs_moment_left_closed(x, a, v, config.order)
-                 + abs_moment_right_closed(y, v, b, config.order))
+    assembled = _moment_sum(config.panels)
 
     left_kink = 2.0 * _pw(x - a, alpha + 1.0) / (alpha * (alpha + 1.0))
     right_kink = 2.0 * _pw(b - y, alpha + 1.0) / (alpha * (alpha + 1.0))
@@ -305,11 +323,7 @@ def v_bullen(config: BullenConfig) -> BoundBreakdown:
     alpha = config.order.alpha
     x, y, z = config.x, config.y, config.z
     v1, v2 = config.v1_node, config.v2_node
-
-    assembled = (abs_moment_left_closed(x, a, v1, config.order)
-                 + abs_moment_mid_closed(y, v1, v2, config.order)
-                 + abs_moment_right_closed(z, v2, b, config.order))
-
+    assembled = _moment_sum(config.panels)
     denom = alpha * (alpha + 1.0)
     w1, w, w2 = v1 - a, v2 - v1, b - v2
 
@@ -379,8 +393,7 @@ class PanelConfigs:
     (lam, 1 - lam) the sum is exactly 1).  Edge e_p is (1 - P_p)*a + P_p*b
     clamped to [e_{p-1}, b], P_p being the sum of the first p weights; the
     last interior edge takes the last weight in place of 1 - P_p.  These
-    are the expressions of ``v_node``, ``v1_node`` and ``v2_node``, so every
-    edge equals theirs bit for bit.
+    are the edges of the configs' ``panels`` view, bit for bit.
     """
 
     interval: Interval
@@ -424,6 +437,12 @@ class PanelConfigs:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
+
+    def row(self, i: int) -> PanelConfig:
+        """Row i as one :class:`PanelConfig`."""
+        return PanelConfig(self.interval, Order(self.alpha[i].item()),
+                           tuple(self.weights[i].tolist()), tuple(self.nodes[i].tolist()),
+                           tuple(self.edges[i].tolist()))
 
 
 def _first_bad(bad: np.ndarray, message) -> None:
@@ -475,7 +494,7 @@ def _branches(cfg: PanelConfigs, p: int, tie_low: bool) -> dict:
     The left panel's node never lies before it; the last panel's never
     past b, so that panel has no upper branch.  ``tie_low`` sends a node
     on a right-kernel panel's left edge to the lower branch, as
-    abs_moment_right_closed does; everything else sends it to the middle.
+    abs_moment_closed does; the literal term lists send it to the middle.
     """
     y, lo, hi = cfg.nodes[:, p], cfg.edges[:, p], cfg.edges[:, p + 1]
     if p == 0:
@@ -504,12 +523,10 @@ def _literal_terms(cfg: PanelConfigs, parts: list):
 
 def _assembled_moments(cfg: PanelConfigs, parts: list) -> np.ndarray:
     """Moment-function encoding: panel moments (n, k) as
-    abs_moment_left_closed, abs_moment_mid_closed and, for the last panel,
-    abs_moment_right_closed compute them."""
-    n, k = cfg.nodes.shape
-    moments = np.zeros((n, k))
+    abs_moment_closed computes them (the first panel reflected)."""
+    moments = np.zeros(cfg.nodes.shape)
     for p, (forms, kink) in enumerate(parts):
-        for name, mask in _branches(cfg, p, tie_low=p == k - 1).items():
+        for name, mask in _branches(cfg, p, tie_low=True).items():
             value = kink + forms[name] if name == "middle" else forms[name]
             moments[:, p] = np.where(mask, value, moments[:, p])
     return moments

@@ -48,8 +48,8 @@ from itertools import chain
 import numpy as np
 
 from . import __version__, bounds, corpus, engine
-from .bounds import BullenConfig, HadamardConfig
-from .quadrature import (ALPHA_MAX, ALPHA_MIN, DomainError, Interval, Order,
+from .bounds import BullenConfig, HadamardConfig, abs_moment_closed
+from .quadrature import (DomainError, Interval, Order, QuadratureToleranceError,
                          abs_moment_quadrature)
 
 __all__ = [
@@ -98,8 +98,7 @@ class RunConfig:
         if not self.alpha_grid:
             raise DomainError("alpha_grid must be nonempty")
         for a in self.alpha_grid:
-            if not (ALPHA_MIN < a <= ALPHA_MAX):
-                raise DomainError(f"alpha {a} outside ({ALPHA_MIN}, {ALPHA_MAX}]")
+            Order(a)
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be 'json' or 'csv', got {self.fmt!r}")
         if self.m_max < 0.0:
@@ -158,8 +157,10 @@ def _dumps_indent1(doc: dict) -> str:
 class VerificationReport:
     """Harness output: run metadata, per-record results, aggregates, errata.
 
-    ``duration_seconds`` is console diagnostics only and is excluded from
-    the serialized bytes so reports stay byte-identical across runs.
+    ``duration_seconds`` and ``oracle_failures`` (oracle checks whose
+    quadrature did not converge) are console diagnostics only and are
+    excluded from the serialized bytes so reports stay byte-identical
+    across runs.
     """
 
     command: str
@@ -169,6 +170,7 @@ class VerificationReport:
     aggregate: dict
     errata: list
     duration_seconds: float = 0.0
+    oracle_failures: int = 0
 
     @property
     def violations(self) -> int:
@@ -250,21 +252,27 @@ def _draw_weights(rng: np.random.Generator, k: int):
     return rng.dirichlet((1.0,) * k)
 
 
-def _oracle_gap(run: RunConfig, alpha: float, weights, nodes,
-                witness: corpus.LipschitzWitness) -> float:
-    """Quadrature gap of one record through the scalar configs and engine."""
-    order = Order(alpha)
-    if len(nodes) == 2:
-        cfg = HadamardConfig(run.interval, order, weights[0], *nodes)
-        return engine.hadamard_gap(cfg, witness, method="quadrature")
-    cfg = BullenConfig(run.interval, order, *weights, *nodes)
-    return engine.bullen_gap(cfg, witness, method="quadrature")
+def _evaluate(interval: Interval, alpha, weights, nodes, witnesses: corpus.WitnessArrays):
+    """Gap, bound and verdict of every row in one batched k-panel pass:
+    returns (config, gap, bound, ratio, passed)."""
+    cfg = bounds.PanelConfigs(interval, alpha, weights, nodes)
+    width = interval.width
+    for al in set(cfg.alpha.tolist()):
+        if width ** al == 0.0:
+            raise DomainError(f"(b - a)^alpha underflows to 0 at width {width!r} and "
+                              f"order {al!r}; the gap and the bound divide by it")
+    gap = engine.panel_gap(cfg, witnesses)
+    bound = engine.panel_bound(cfg, witnesses.constants)
+    ratio, passed = engine.verify_panels(gap, bound)
+    return cfg, gap, bound, ratio, passed
 
 
 def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     """Draw every trial, then evaluate all (trial x alpha) records in one
     batched k-panel pass; every ORACLE_CHECK_STRIDE-th trial is re-evaluated
-    through the scalar quadrature path."""
+    through the scalar quadrature path.  An oracle check whose quadrature
+    does not converge counts as a residual breach, its residual taken
+    against the integrator's last estimate."""
     t0 = time.perf_counter()
     weight_names, node_names = SWEEP_COLUMNS[command]
     k = len(node_names)
@@ -282,11 +290,9 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
 
     # Records run trial-major: row = trial * len(grid) + grid index.
     rows = np.repeat(np.arange(trials), len(grid))
-    cfg = bounds.PanelConfigs(run.interval, np.tile(grid, trials), weights[rows], nodes[rows])
     record_witnesses = witnesses.take(rows)
-    gap = engine.panel_gap(cfg, record_witnesses)
-    bound = engine.panel_bound(cfg, record_witnesses.constants)
-    ratio, passed = engine.verify_panels(gap, bound)
+    cfg, gap, bound, ratio, passed = _evaluate(run.interval, np.tile(grid, trials),
+                                               weights[rows], nodes[rows], record_witnesses)
 
     values = {"trial": rows, "alpha": cfg.alpha}
     values.update((name, weights[rows, p]) for p, name in enumerate(weight_names))
@@ -299,28 +305,33 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
 
     max_resid = 0.0
     resid_breaches = 0
-    checks = 0
-    for trial in range(0, trials, ORACLE_CHECK_STRIDE):
+    failures = 0
+    checked = range(0, trials, ORACLE_CHECK_STRIDE)
+    for trial in checked:
         witness = witnesses.witness(trial)
-        for j, alpha in enumerate(grid):
-            rec = records[trial * len(grid) + j]
-            gq = _oracle_gap(run, alpha, weights[trial].tolist(), nodes[trial].tolist(),
-                             witness)
-            resid = _relative_residual(rec["gap"], gq)
+        for row in range(trial * len(grid), (trial + 1) * len(grid)):
+            rec = records[row]
+            converged = True
+            try:
+                gq = engine.config_gap(cfg.row(row), witness, method="quadrature")
+            except QuadratureToleranceError as exc:
+                converged, gq = False, exc.estimate
+            resid = (_relative_residual(rec["gap"], gq) if converged or math.isfinite(gq)
+                     else math.inf)
             rec["oracle_residual"] = resid
             max_resid = max(max_resid, resid)
-            resid_breaches += resid > RESIDUAL_LIMIT
-            checks += 1
+            resid_breaches += resid > RESIDUAL_LIMIT or not converged
+            failures += not converged
     aggregate = {
         "evaluations": len(records),
         "violations": int(np.count_nonzero(~passed)),
         "max_ratio": max([0.0] + [r for r in ratio.tolist() if math.isfinite(r)]),
-        "oracle_checks": checks,
+        "oracle_checks": len(checked) * len(grid),
         "max_oracle_residual": max_resid,
         "oracle_residual_breaches": resid_breaches,
     }
     return VerificationReport(command, run, columns + ("method", "oracle_residual"),
-                              records, aggregate, [], time.perf_counter() - t0)
+                              records, aggregate, [], time.perf_counter() - t0, failures)
 
 
 def cmd_verify_hadamard(run: RunConfig) -> VerificationReport:
@@ -448,9 +459,9 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
                 rng = _trial_rng(run.seed, 10_000 + 1_000 * case + k)
                 lam, v, x, y = _two_node_sample(case, rng, a, b)
                 moments = (
-                    ("left", bounds.abs_moment_left_closed(x, a, v, order),
+                    ("left", abs_moment_closed(-x, -v, -a, order),
                      abs_moment_quadrature(x, a, v, a, "left", order)),
-                    ("right", bounds.abs_moment_right_closed(y, v, b, order),
+                    ("right", abs_moment_closed(y, v, b, order),
                      abs_moment_quadrature(y, v, b, b, "right", order)),
                 )
                 samples += 1
@@ -466,11 +477,11 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
                 rng = _trial_rng(run.seed, 20_000 + 1_000 * case + k)
                 lam, eta, v1, v2, x, y, z = _three_node_sample(case, k, rng, a, b)
                 moments = (
-                    ("left", bounds.abs_moment_left_closed(x, a, v1, order),
+                    ("left", abs_moment_closed(-x, -v1, -a, order),
                      abs_moment_quadrature(x, a, v1, a, "left", order)),
-                    ("mid", bounds.abs_moment_mid_closed(y, v1, v2, order),
+                    ("mid", abs_moment_closed(y, v1, v2, order),
                      abs_moment_quadrature(y, v1, v2, v2, "right", order)),
-                    ("right", bounds.abs_moment_right_closed(z, v2, b, order),
+                    ("right", abs_moment_closed(z, v2, b, order),
                      abs_moment_quadrature(z, v2, b, b, "right", order)),
                 )
                 samples += 1
@@ -585,13 +596,27 @@ def cmd_sweep(run: RunConfig, functional: str, witness_path: str | None = None,
     The witness is loaded from the two-column text format when a path is
     given, else it is the tent centered on the interval midpoint (so the
     row lam = delta = 1/2 of the two-node sweep is the sharpness
-    configuration with ratio 1).
+    configuration with ratio 1).  Every (alpha x grid point) row is
+    evaluated in one batched k-panel pass, alpha-major.
     """
     t0 = time.perf_counter()
-    if functional not in ("hadamard", "bullen"):
-        raise DomainError(f"functional must be 'hadamard' or 'bullen', got {functional!r}")
     itv = run.interval
     a, b = itv.a, itv.b
+    # Grid points: (grid parameters, weights, nodes).
+    if functional == "hadamard":
+        names, k = ("lam", "delta"), 2
+        points = [((lam, delta), (lam, 1.0 - lam),
+                   (delta * a + (1.0 - delta) * b, (1.0 - delta) * a + delta * b))
+                  for lam in lambdas for delta in deltas]
+    elif functional == "bullen":
+        names, k = ("lam", "eta", "delta"), 3
+        points = [((lam, eta, delta), (lam, eta, 1.0 - lam - eta),
+                   (delta * a + (1.0 - delta) * b, (a + b) / 2.0,
+                    (1.0 - delta) * a + delta * b))
+                  for lam in lambdas for eta in etas if not lam + eta > 1.0
+                  for delta in deltas]
+    else:
+        raise DomainError(f"functional must be 'hadamard' or 'bullen', got {functional!r}")
     if witness_path is not None:
         with open(witness_path, "r", encoding="utf-8") as fh:
             f = corpus.from_text(fh.read())
@@ -601,50 +626,18 @@ def cmd_sweep(run: RunConfig, functional: str, witness_path: str | None = None,
     else:
         f = corpus.tent(itv, (a + b) / 2.0)
     witness = corpus.LipschitzWitness(f, corpus.lipschitz_constant(f))
-    records = []
-    max_ratio = 0.0
-    violations = 0
-    for alpha in run.alpha_grid:
-        order = Order(alpha)
-        if functional == "hadamard":
-            for lam in lambdas:
-                for delta in deltas:
-                    cfg = HadamardConfig(itv, order, lam,
-                                         delta * a + (1.0 - delta) * b,
-                                         (1.0 - delta) * a + delta * b)
-                    gap = engine.hadamard_gap(cfg, witness)
-                    bound = engine.hadamard_bound(cfg, witness.constant)
-                    res = engine.verify(gap, bound)
-                    violations += not res.passed
-                    if math.isfinite(res.ratio):
-                        max_ratio = max(max_ratio, res.ratio)
-                    records.append({"alpha": alpha, "lam": lam, "delta": delta,
-                                    "gap": gap, "bound": bound, "ratio": res.ratio})
-        else:
-            for lam in lambdas:
-                for eta in etas:
-                    if lam + eta > 1.0:
-                        continue
-                    for delta in deltas:
-                        cfg = BullenConfig(itv, order, lam, eta, 1.0 - lam - eta,
-                                           delta * a + (1.0 - delta) * b,
-                                           (a + b) / 2.0,
-                                           (1.0 - delta) * a + delta * b)
-                        gap = engine.bullen_gap(cfg, witness)
-                        bound = engine.bullen_bound(cfg, witness.constant)
-                        res = engine.verify(gap, bound)
-                        violations += not res.passed
-                        if math.isfinite(res.ratio):
-                            max_ratio = max(max_ratio, res.ratio)
-                        records.append({"alpha": alpha, "lam": lam, "eta": eta,
-                                        "delta": delta, "gap": gap, "bound": bound,
-                                        "ratio": res.ratio})
-    aggregate = {"evaluations": len(records), "violations": violations,
-                 "max_ratio": max_ratio}
-    if functional == "hadamard":
-        columns = ("alpha", "lam", "delta", "gap", "bound", "ratio")
-    else:
-        columns = ("alpha", "lam", "eta", "delta", "gap", "bound", "ratio")
+
+    rows = [(alpha, *point) for alpha in run.alpha_grid for point in points]
+    shape = (len(rows), k)
+    _, gap, bound, ratio, passed = _evaluate(
+        itv, [r[0] for r in rows], np.reshape([r[2] for r in rows], shape),
+        np.reshape([r[3] for r in rows], shape), corpus.WitnessArrays.repeat(witness, len(rows)))
+    columns = ("alpha",) + names + ("gap", "bound", "ratio")
+    records = [dict(zip(columns, (alpha, *params, *result)))
+               for (alpha, params, _, _), *result
+               in zip(rows, gap.tolist(), bound.tolist(), ratio.tolist())]
+    aggregate = {"evaluations": len(records), "violations": int(np.count_nonzero(~passed)),
+                 "max_ratio": max([0.0] + [r for r in ratio.tolist() if math.isfinite(r)])}
     return VerificationReport(f"sweep-{functional}", run, columns, records, aggregate,
                               [], time.perf_counter() - t0)
 
@@ -746,6 +739,10 @@ def main(argv=None) -> int:
     print("fracbound %s: %d records, %d violations, %.2fs" % (
         report.command, agg.get("evaluations", len(report.records)),
         agg.get("violations", 0), report.duration_seconds), file=sys.stderr)
+    if report.oracle_failures:
+        print(f"fracbound: {report.oracle_failures} oracle checks did not converge "
+              f"(QuadratureToleranceError); each counts as an oracle residual breach",
+              file=sys.stderr)
     return _exit_code(report)
 
 

@@ -151,6 +151,13 @@ class WitnessArrays:
     values: np.ndarray
     constants: np.ndarray
 
+    @classmethod
+    def repeat(cls, witness: LipschitzWitness, n: int) -> "WitnessArrays":
+        """n rows, each the given witness."""
+        f = witness.function
+        return cls(np.tile(f.breakpoints, (n, 1)), np.tile(f.values, (n, 1)),
+                   np.full(n, witness.constant))
+
     def take(self, rows) -> "WitnessArrays":
         """The witnesses of the given rows, in that order."""
         return WitnessArrays(self.breakpoints[rows], self.values[rows], self.constants[rows])
@@ -262,29 +269,16 @@ def exact_rl_left(f: PiecewiseLinearFunction, order: Order, upper: float) -> flo
 
 
 def exact_rl_right(f: PiecewiseLinearFunction, order: Order, lower: float) -> float:
-    """Closed-form right fractional integral (1/Gamma(a)) int_lower^b (b-t)^(a-1) f dt.
-
-    Mirror of exact_rl_left: on each piece f(t) = c + d*(b-t) with
-    c = f extrapolated at b and d = -slope, integrated in w = b - t.
-    """
-    b = f.b
-    if not (f.a <= lower <= b):
-        raise DomainError(f"lower={lower} outside [{f.a}, {b}]")
-    alpha = order.alpha
-    total = 0.0
-    for lo, hi, v_lo, slope in _clipped_segments(f, lower, b):
-        c = v_lo + slope * (b - lo)
-        w0, w1 = b - hi, b - lo
-        total += c * (w1 ** alpha - w0 ** alpha) / alpha
-        total -= slope * (w1 ** (alpha + 1.0) - w0 ** (alpha + 1.0)) / (alpha + 1.0)
-    return total / gamma_fn(alpha)
+    """(1/Gamma(a)) int_lower^b (b-t)^(a-1) f dt: the last panel of :func:`exact_rl_mid`."""
+    return exact_rl_mid(f, lower, f.b, order)
 
 
 def exact_rl_mid(f: PiecewiseLinearFunction, v1: float, v2: float, order: Order) -> float:
     """Closed-form panel integral (1/Gamma(a)) int_v1^v2 (v2-t)^(a-1) f dt.
 
-    Same decomposition as exact_rl_right with the kernel anchored at v2.
-    Returns 0 when v1 == v2.
+    Mirror of exact_rl_left with the kernel anchored at v2: on each piece
+    f(t) = c + d*(v2-t) with c = f extrapolated at v2 and d = -slope,
+    integrated in w = v2 - t.  Returns 0 when v1 == v2.
     """
     if v1 > v2:
         raise DomainError(f"need v1 <= v2, got v1={v1}, v2={v2}")
@@ -322,8 +316,7 @@ def exact_rl_panels(witnesses: WitnessArrays, edges: np.ndarray,
     edges[i] = (a, e_1, ..., e_{k-1}, b).  Column 0 is the left-kernel
     panel, ``exact_rl_left(f, order, e_1)``; column p >= 1 is the
     right-kernel panel anchored at its own right edge,
-    ``exact_rl_mid(f, e_p, e_{p+1}, order)``, which for the last panel is
-    ``exact_rl_right(f, order, e_{k-1})``.  The power rule runs segment by
+    ``exact_rl_mid(f, e_p, e_{p+1}, order)``.  The power rule runs segment by
     segment in the order and with the operations of those functions, so
     every value equals theirs bit for bit; a segment piece that misses the
     panel adds nothing.

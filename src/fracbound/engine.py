@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, corpus, quadrature
-from .bounds import BullenConfig, HadamardConfig, PanelConfigs, _pw
+from .bounds import BullenConfig, HadamardConfig, PanelConfig, PanelConfigs, _pw
 from .quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
                          QuadratureSettings, gamma_fn)
 
@@ -38,6 +38,7 @@ __all__ = [
     "GapResult",
     "bullen_bound",
     "bullen_gap",
+    "config_gap",
     "corollary_suite",
     "hadamard_bound",
     "hadamard_gap",
@@ -102,78 +103,74 @@ def verify(gap: float, bound: float, method: str = "oracle") -> GapResult:
     return GapResult(gap, bound, ratio, method, passed)
 
 
-def hadamard_gap(config: HadamardConfig, witness: corpus.LipschitzWitness,
-                 method: str = "oracle",
-                 settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """| lam^a f(x) + (1-lam)^a f(y) - Gamma(a+1)/(b-a)^a * (left + right) |
+def config_gap(config: PanelConfig, witness: corpus.LipschitzWitness,
+               method: str = "oracle",
+               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+    """| sum_p w_p^a f(x_p) - Gamma(a+1)/(b-a)^a * sum_p (panel integral p) |
 
-    where left and right are the fractional integrals anchored at the
-    interval endpoints and split at V.  Constant witnesses telescope to a
-    gap of exactly zero.
+    over the k panels of one configuration: the left-kernel integral over
+    the first panel, anchored at a, and over every later panel the
+    right-kernel integral anchored at its own right edge.  Method "oracle"
+    integrates the piecewise-linear witness exactly, "quadrature" through
+    :mod:`fracbound.quadrature`.  Constant witnesses telescope to a gap of
+    exactly zero.
     """
     f = witness.function
     a, b = config.interval.a, config.interval.b
-    alpha = config.order.alpha
-    v = config.v_node
-    weighted = _pw(config.lam, alpha) * f(config.x) + _pw(1.0 - config.lam, alpha) * f(config.y)
+    if not (f.a == a and f.b == b):
+        raise DomainError(f"witness spans [{f.a}, {f.b}], configuration [{a}, {b}]")
+    order = config.order
+    alpha = order.alpha
+    weights, nodes, edges = config.weights, config.nodes, config.edges
+    weighted = _pw(weights[0], alpha) * f(nodes[0])
+    for p in range(1, len(nodes)):
+        weighted += _pw(weights[p], alpha) * f(nodes[p])
     if method == "oracle":
-        left = corpus.exact_rl_left(f, config.order, v)
-        right = corpus.exact_rl_right(f, config.order, v)
+        integrals = corpus.exact_rl_left(f, order, edges[1])
+        for p in range(1, len(nodes)):
+            integrals += corpus.exact_rl_mid(f, edges[p], edges[p + 1], order)
     elif method == "quadrature":
-        left = quadrature.rl_left(f, config.interval, config.order, v, settings,
-                                  kinks=f.breakpoints)
-        right = quadrature.rl_right(f, config.interval, config.order, v, settings,
-                                    kinks=f.breakpoints)
+        integrals = quadrature.rl_left(f, config.interval, order, edges[1], settings,
+                                       kinks=f.breakpoints)
+        for p in range(1, len(nodes)):
+            integrals += quadrature.rl_mid(f, edges[p], edges[p + 1], order, settings,
+                                           kinks=f.breakpoints)
     else:
         raise DomainError(f"method must be 'oracle' or 'quadrature', got {method!r}")
-    frac = gamma_fn(alpha + 1.0) / (b - a) ** alpha * (left + right)
+    frac = gamma_fn(alpha + 1.0) / (b - a) ** alpha * integrals
     return abs(weighted - frac)
 
 
-def hadamard_bound(config: HadamardConfig, m: float) -> float:
-    """alpha * M * (two-panel coefficient) / (b-a)^alpha."""
-    if m < 0.0:
-        raise DomainError(f"Lipschitz constant must be >= 0, got {m}")
-    alpha = config.order.alpha
-    width = config.interval.width
-    return alpha * m * bounds.v_hadamard(config).total / width ** alpha
+def hadamard_gap(config: HadamardConfig, witness: corpus.LipschitzWitness,
+                 method: str = "oracle",
+                 settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+    """:func:`config_gap` of the two-node inequality, panels [a, V] and [V, b]."""
+    return config_gap(config.panels, witness, method, settings)
 
 
 def bullen_gap(config: BullenConfig, witness: corpus.LipschitzWitness,
                method: str = "oracle",
                settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Three-node analogue of :func:`hadamard_gap` with panels
-    [a, V1], [V1, V2], [V2, b]."""
-    f = witness.function
-    a, b = config.interval.a, config.interval.b
+    """:func:`config_gap` of the three-node inequality, panels [a, V1],
+    [V1, V2] and [V2, b]."""
+    return config_gap(config.panels, witness, method, settings)
+
+
+def _bound(config, m: float, coefficient) -> float:
+    if m < 0.0:
+        raise DomainError(f"Lipschitz constant must be >= 0, got {m}")
     alpha = config.order.alpha
-    v1, v2 = config.v1_node, config.v2_node
-    weighted = (_pw(config.lam, alpha) * f(config.x)
-                + _pw(config.eta, alpha) * f(config.y)
-                + _pw(config.mu, alpha) * f(config.z))
-    if method == "oracle":
-        left = corpus.exact_rl_left(f, config.order, v1)
-        middle = corpus.exact_rl_mid(f, v1, v2, config.order)
-        right = corpus.exact_rl_right(f, config.order, v2)
-    elif method == "quadrature":
-        left = quadrature.rl_left(f, config.interval, config.order, v1, settings,
-                                  kinks=f.breakpoints)
-        middle = quadrature.rl_mid(f, v1, v2, config.order, settings, kinks=f.breakpoints)
-        right = quadrature.rl_right(f, config.interval, config.order, v2, settings,
-                                    kinks=f.breakpoints)
-    else:
-        raise DomainError(f"method must be 'oracle' or 'quadrature', got {method!r}")
-    frac = gamma_fn(alpha + 1.0) / (b - a) ** alpha * (left + middle + right)
-    return abs(weighted - frac)
+    return alpha * m * coefficient(config).total / config.interval.width ** alpha
+
+
+def hadamard_bound(config: HadamardConfig, m: float) -> float:
+    """alpha * M * (two-panel coefficient) / (b-a)^alpha."""
+    return _bound(config, m, bounds.v_hadamard)
 
 
 def bullen_bound(config: BullenConfig, m: float) -> float:
     """alpha * M * (three-panel coefficient) / (b-a)^alpha."""
-    if m < 0.0:
-        raise DomainError(f"Lipschitz constant must be >= 0, got {m}")
-    alpha = config.order.alpha
-    width = config.interval.width
-    return alpha * m * bounds.v_bullen(config).total / width ** alpha
+    return _bound(config, m, bounds.v_bullen)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +179,7 @@ def bullen_bound(config: BullenConfig, m: float) -> float:
 
 def panel_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays) -> np.ndarray:
     """Exact gap of every row, witness row i on configuration row i:
-    :func:`hadamard_gap` (k = 2) or :func:`bullen_gap` (k = 3) with the
-    exact method, bit for bit.
+    :func:`config_gap` of the row with the exact method, bit for bit.
 
     | sum_p w_p^a f(x_p) - Gamma(a+1)/(b-a)^a * sum_p (panel integral p) |
     """
@@ -207,7 +203,8 @@ def panel_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays) -> np.ndarr
 
 def panel_bound(config: PanelConfigs, m: np.ndarray) -> np.ndarray:
     """alpha * M * coefficient / (b-a)^alpha for every row, bit for bit
-    :func:`hadamard_bound` (k = 2) or :func:`bullen_bound` (k = 3)."""
+    :func:`hadamard_bound` (k = 2) or :func:`bullen_bound` (k = 3): the
+    coefficient is the literal total of :func:`fracbound.bounds.v_panels`."""
     m = np.asarray(m, dtype=float)
     if (m < 0.0).any():
         raise DomainError(f"Lipschitz constant must be >= 0, got {m.min()}")
@@ -296,14 +293,14 @@ class CorollaryFinding:
 
 
 def _adjudicate(printed: float, oracle: float, deviation: float,
-                gap_fn, witnesses, scale: float = 1.0) -> GapResult:
+                panels: PanelConfig, witnesses, scale: float = 1.0) -> GapResult:
     # Shortcut values that disagree with the oracle never fail a witness;
     # the assembled bound is ground truth.
     agree = deviation <= ERRATUM_THRESHOLD
     coeff = min(printed, oracle) if agree else oracle
     worst = None
     for w in witnesses:
-        gap = scale * gap_fn(w)
+        gap = scale * config_gap(panels, w)
         res = verify(gap, coeff * w.constant)
         if worst is None or res.ratio > worst.ratio:
             worst = res
@@ -334,20 +331,14 @@ def corollary_suite(interval: Interval, order: Order,
                       for seed in params.witness_seeds)
     findings = []
 
-    def emit(formula_id, pt, printed, oracle, gap_fn, scale=1.0):
+    def emit(formula_id, pt, printed, oracle, cfg, scale=1.0):
         deviation = abs(printed - oracle)
-        res = _adjudicate(printed, oracle, deviation, gap_fn, witnesses, scale)
+        res = _adjudicate(printed, oracle, deviation, cfg.panels, witnesses, scale)
         erratum = None
         if deviation > ERRATUM_THRESHOLD:
             erratum = ErratumEntry(formula_id, deviation, (("alpha", alpha),) + pt)
         findings.append(CorollaryFinding(formula_id, (("alpha", alpha),) + pt,
                                          printed, oracle, deviation, res, erratum))
-
-    def had_oracle(cfg):
-        return alpha * bounds.v_hadamard(cfg).total / width ** alpha
-
-    def bul_oracle(cfg):
-        return alpha * bounds.v_bullen(cfg).total / width ** alpha
 
     # Symmetric two-node coefficient (three cases in lam).
     for lam in params.lambdas:
@@ -357,8 +348,7 @@ def corollary_suite(interval: Interval, order: Order,
             cfg = HadamardConfig(interval, order, lam, x, y)
             printed = bounds.l_coeff(order, lam, delta) * width / (alpha + 1.0)
             emit("symmetric_pair_coeff", (("lam", lam), ("delta", delta)),
-                 printed, had_oracle(cfg),
-                 lambda w, c=cfg: hadamard_gap(c, w))
+                 printed, hadamard_bound(cfg, 1.0), cfg)
 
     # Coincident nodes x = y = V.
     for lam in params.lambdas:
@@ -366,16 +356,14 @@ def corollary_suite(interval: Interval, order: Order,
         cfg = HadamardConfig(interval, order, lam, v, v)
         printed = (_pw(v - a, alpha + 1.0) + _pw(b - v, alpha + 1.0)) / ((alpha + 1.0) * width ** alpha)
         emit("coincident_node_bound", (("lam", lam),),
-             printed, had_oracle(cfg),
-             lambda w, c=cfg: hadamard_gap(c, w))
+             printed, hadamard_bound(cfg, 1.0), cfg)
 
     # Endpoint nodes x = a, y = b (delta = 1 specialization).
     for lam in params.lambdas:
         cfg = HadamardConfig(interval, order, lam, a, b)
         printed = alpha * width * (_pw(lam, alpha + 1.0) + _pw(1.0 - lam, alpha + 1.0)) / (alpha + 1.0)
         emit("endpoint_pair_bound", (("lam", lam),),
-             printed, had_oracle(cfg),
-             lambda w, c=cfg: hadamard_gap(c, w))
+             printed, hadamard_bound(cfg, 1.0), cfg)
 
     # Single shifted node x = y = dn*a + (1-dn)*b with free lam.
     for lam in params.lambdas:
@@ -384,8 +372,7 @@ def corollary_suite(interval: Interval, order: Order,
             cfg = HadamardConfig(interval, order, lam, node, node)
             printed = width * (_pw(dn, alpha + 1.0) + _pw(1.0 - dn, alpha + 1.0)) / (alpha + 1.0)
             emit("shifted_single_node_bound", (("lam", lam), ("node_delta", dn)),
-                 printed, had_oracle(cfg),
-                 lambda w, c=cfg: hadamard_gap(c, w))
+                 printed, hadamard_bound(cfg, 1.0), cfg)
 
     # Quarter-node pair: lam = 1/2, delta = 3/4, sides scaled by 2^(alpha-1).
     if params.deltas:
@@ -393,8 +380,7 @@ def corollary_suite(interval: Interval, order: Order,
         cfg = HadamardConfig(interval, order, 0.5, (3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0)
         printed = width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0)) / (2.0 ** (alpha + 1.0) * (alpha + 1.0))
         emit("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)),
-             printed, scale * had_oracle(cfg),
-             lambda w, c=cfg: hadamard_gap(c, w), scale=scale)
+             printed, scale * hadamard_bound(cfg, 1.0), cfg, scale=scale)
 
     # Three-node midpoint coefficient (eight orderings).
     for lam, eta in params.simplex:
@@ -406,8 +392,7 @@ def corollary_suite(interval: Interval, order: Order,
             printed = bounds.n_coeff(order, lam, eta, delta) * width / (alpha + 1.0)
             emit(f"midpoint_triple_coeff_case{case}",
                  (("lam", lam), ("eta", eta), ("delta", delta)),
-                 printed, bul_oracle(cfg),
-                 lambda w, c=cfg: bullen_gap(c, w))
+                 printed, bullen_bound(cfg, 1.0), cfg)
 
     # Theta-weighted endpoint/midpoint bracket.
     for theta in params.thetas:
@@ -415,8 +400,7 @@ def corollary_suite(interval: Interval, order: Order,
                            a, (a + b) / 2.0, b)
         printed = bounds.weighted_bullen_coeff(order, theta) * width / (alpha + 1.0)
         emit("theta_weighted_triple_bound", (("theta", theta),),
-             printed, bul_oracle(cfg),
-             lambda w, c=cfg: bullen_gap(c, w))
+             printed, bullen_bound(cfg, 1.0), cfg)
 
     # Shortcut forms of the theta = 1/2 and theta = 1/3 instances; sides
     # carry the scale that matches their fractional-integral terms.
@@ -429,7 +413,6 @@ def corollary_suite(interval: Interval, order: Order,
         coeff = (bounds.bullen_remark_coeff(alpha) if formula_id == "bullen_theta_half_bound"
                  else bounds.simpson_remark_coeff(alpha))
         emit(formula_id, (("theta", theta),),
-             coeff * width, scale * bul_oracle(cfg),
-             lambda w, c=cfg: bullen_gap(c, w), scale=scale)
+             coeff * width, scale * bullen_bound(cfg, 1.0), cfg, scale=scale)
 
     return findings

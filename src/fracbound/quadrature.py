@@ -1,6 +1,8 @@
 """Gamma function and robust Riemann-Liouville fractional integration.
 
-The three integral operators here all reduce to one core problem,
+The integrals here (the left-kernel and right-kernel panel integrals
+rl_left and rl_mid, and the moment oracle abs_moment_quadrature) all
+reduce to one core problem,
 
     integral_0^W u^(alpha-1) g(u) du
 
@@ -243,17 +245,8 @@ def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
 def rl_right(f: Callable[[float], float], interval: Interval, order: Order,
              lower: float, settings: QuadratureSettings = DEFAULT_SETTINGS,
              kinks: Sequence[float] = ()) -> float:
-    """Right-kernel fractional integral (1/Gamma(a)) int_lower^b (b-t)^(a-1) f(t) dt.
-
-    Mirror image of :func:`rl_left` under t -> a + b - t.  Returns 0 when
-    lower == b.
-    """
-    a, b = interval.a, interval.b
-    if not (a <= lower <= b):
-        raise DomainError(f"lower={lower} outside [{a}, {b}]")
-    moved = [b - k for k in kinks]
-    value = _power_kernel_integral(lambda u: f(b - u), b - lower, order.alpha, settings, moved)
-    return value / gamma_fn(order.alpha)
+    """(1/Gamma(a)) int_lower^b (b-t)^(a-1) f(t) dt: the last panel of :func:`rl_mid`."""
+    return rl_mid(f, lower, interval.b, order, settings, kinks)
 
 
 def rl_mid(f: Callable[[float], float], v1: float, v2: float, order: Order,
@@ -263,7 +256,8 @@ def rl_mid(f: Callable[[float], float], v1: float, v2: float, order: Order,
 
         (1/Gamma(a)) int_v1^v2 (v2-t)^(a-1) f(t) dt
 
-    Equivalent to rl_right restricted to [v1, v2].  Returns 0 when v1 == v2.
+    Mirror image of :func:`rl_left` under t -> v1 + v2 - t.  Returns 0
+    when v1 == v2.
     """
     if v1 > v2:
         raise DomainError(f"need v1 <= v2, got v1={v1}, v2={v2}")

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from fracbound.bounds import (BoundBreakdown, BullenConfig, HadamardConfig,
-                              InconsistencyError, abs_moment_left_closed,
-                              abs_moment_mid_closed, abs_moment_right_closed,
+                              InconsistencyError, abs_moment_closed,
                               bullen_remark_coeff, l_coeff, l_coeff_reference,
                               n_case_index, n_coeff, n_coeff_reference,
                               simpson_remark_coeff, unit_order_two_point_table,
@@ -42,32 +41,38 @@ def rnd_bullen(rng, alpha, itv=ITV):
 # closed-form panel moments
 # ----------------------------------------------------------------------
 
+def left_moment(x, anchor, upper, order):
+    """int_anchor^upper |x - t| (t - anchor)^(alpha-1) dt: the right-kernel
+    moment on the negated panel."""
+    return abs_moment_closed(-x, -upper, -anchor, order)
+
+
 def test_left_moment_examples():
-    assert abs_moment_left_closed(1.0, 0.0, 1.0, Order(1.0)) == pytest.approx(0.5)
-    assert abs_moment_left_closed(1.0, 0.0, 1.0, Order(2.0)) == pytest.approx(1.0 / 6.0)
+    assert left_moment(1.0, 0.0, 1.0, Order(1.0)) == pytest.approx(0.5)
+    assert left_moment(1.0, 0.0, 1.0, Order(2.0)) == pytest.approx(1.0 / 6.0)
     with pytest.raises(DomainError):
-        abs_moment_left_closed(0.5, 0.0, -0.5, Order(1.0))
-    with pytest.raises(DomainError):
-        abs_moment_left_closed(-0.5, 0.0, 1.0, Order(1.0))
+        left_moment(0.5, 0.0, -0.5, Order(1.0))
+    # node left of the kernel anchor: int_0^1 (t + 1/2) dt = 1
+    assert left_moment(-0.5, 0.0, 1.0, Order(1.0)) == pytest.approx(1.0)
 
 
 def test_right_moment_examples():
-    assert abs_moment_right_closed(0.0, 0.0, 1.0, Order(1.0)) == pytest.approx(0.5)
+    assert abs_moment_closed(0.0, 0.0, 1.0, Order(1.0)) == pytest.approx(0.5)
     # node at the anchor: int_0^1 (1-t)*(1-t) dt = 1/3
-    assert abs_moment_right_closed(1.0, 0.0, 1.0, Order(2.0)) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(DomainError):
-        abs_moment_right_closed(1.5, 0.0, 1.0, Order(1.0))
+    assert abs_moment_closed(1.0, 0.0, 1.0, Order(2.0)) == pytest.approx(1.0 / 3.0)
+    # node right of the kernel anchor: int_0^1 (3/2 - t) dt = 1
+    assert abs_moment_closed(1.5, 0.0, 1.0, Order(1.0)) == pytest.approx(1.0)
 
 
 def test_mid_moment_examples():
-    for y in (-1.0, 0.2, 0.9):
-        assert abs_moment_mid_closed(y, 0.3, 0.3, Order(0.5)) == 0.0
-    assert abs_moment_mid_closed(1.0, 0.0, 1.0, Order(1.0)) == pytest.approx(0.5)
-    assert abs_moment_mid_closed(0.5, 0.0, 1.0, Order(1.0)) == pytest.approx(0.25)
+    for y in (-1.0, 0.2, 0.3, 0.9):
+        assert abs_moment_closed(y, 0.3, 0.3, Order(0.5)) == 0.0
+    assert abs_moment_closed(1.0, 0.0, 1.0, Order(1.0)) == pytest.approx(0.5)
+    assert abs_moment_closed(0.5, 0.0, 1.0, Order(1.0)) == pytest.approx(0.25)
     # node left of the panel: int_1^2 t dt = 3/2
-    assert abs_moment_mid_closed(0.0, 1.0, 2.0, Order(1.0)) == pytest.approx(1.5)
+    assert abs_moment_closed(0.0, 1.0, 2.0, Order(1.0)) == pytest.approx(1.5)
     with pytest.raises(DomainError):
-        abs_moment_mid_closed(0.5, 1.0, 0.0, Order(1.0))
+        abs_moment_closed(0.5, 1.0, 0.0, Order(1.0))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -75,16 +80,28 @@ def test_moment_branch_continuity(alpha):
     order = Order(alpha)
     # both branches agree where the node meets a panel edge
     v = 0.6
-    lo = abs_moment_left_closed(v - 1e-15, 0.0, v, order)
-    hi = abs_moment_left_closed(v, 0.0, v, order)
-    assert lo == pytest.approx(hi, rel=1e-12, abs=1e-12)
-    lo = abs_moment_right_closed(v, v, 1.0, order)
-    hi = abs_moment_right_closed(v + 1e-15, v, 1.0, order)
+    lo = left_moment(v - 1e-15, 0.0, v, order)
+    hi = left_moment(v, 0.0, v, order)
     assert lo == pytest.approx(hi, rel=1e-12, abs=1e-12)
     for edge in (0.3, 0.8):
-        lo = abs_moment_mid_closed(edge - 1e-15, 0.3, 0.8, order)
-        hi = abs_moment_mid_closed(edge + 1e-15, 0.3, 0.8, order)
-        assert lo == pytest.approx(hi, rel=1e-12, abs=1e-12)
+        below = abs_moment_closed(edge - 1e-15, 0.3, 0.8, order)
+        at = abs_moment_closed(edge, 0.3, 0.8, order)
+        above = abs_moment_closed(edge + 1e-15, 0.3, 0.8, order)
+        assert below == pytest.approx(at, rel=1e-12, abs=1e-12)
+        assert above == pytest.approx(at, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_left_moment_is_the_reflected_right_moment(alpha):
+    # t -> a + b - t maps the left kernel on [a, v] onto the right kernel on
+    # [a + b - v, b]; the reflected value agrees with the negated one.
+    order = Order(alpha)
+    a, b = -3.0, 5.0
+    for v in (-3.0, -1.0, 2.5, 5.0):
+        for x in (-3.0, -2.0, v, 4.0, 5.0):
+            got = left_moment(x, a, v, order)
+            want = abs_moment_closed(a + b - x, a + b - v, b, order)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", (0.5, 1.0, 1.7, 2.0))
@@ -96,11 +113,11 @@ def test_moments_match_quadrature_oracle(alpha):
         if v - a < 1e-3 or b - v < 1e-3:
             continue
         x = float(rng.uniform(a, b))
-        got = abs_moment_left_closed(x, a, v, order)
+        got = left_moment(x, a, v, order)
         want = abs_moment_quadrature(x, a, v, a, "left", order)
         assert abs(got - want) <= max(1e-10, 1e-8 * abs(want))
         y = float(rng.uniform(a, b))
-        got = abs_moment_mid_closed(y, a, v, order)
+        got = abs_moment_closed(y, a, v, order)
         want = abs_moment_quadrature(y, a, v, v, "right", order)
         assert abs(got - want) <= max(1e-10, 1e-8 * abs(want))
 
@@ -229,7 +246,7 @@ def test_v_hadamard_unit_order_table_literal():
 def test_v_bullen_single_panel_reduction():
     cfg = BullenConfig(ITV, Order(1.0), 0.0, 1.0, 0.0, 0.5, 0.5, 0.5)
     bd = v_bullen(cfg)
-    assert bd.total == pytest.approx(abs_moment_mid_closed(0.5, 0.0, 1.0, Order(1.0)))
+    assert bd.total == pytest.approx(abs_moment_closed(0.5, 0.0, 1.0, Order(1.0)))
     assert bd.total == pytest.approx(0.25)
 
 

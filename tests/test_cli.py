@@ -1,13 +1,14 @@
 """Harness commands: determinism, report schema, exit codes, sweep format."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from fracbound import __version__
-from fracbound.cli import (RunConfig, cmd_audit_corollaries, cmd_check_identities,
+from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries, cmd_check_identities,
                            cmd_sweep, cmd_verify_bullen, cmd_verify_hadamard, main)
 from fracbound.corpus import tent, to_text
 from fracbound.quadrature import DomainError, Interval
@@ -28,6 +29,15 @@ def test_run_config_validation():
         RunConfig(m_max=-1.0)
     assert RunConfig().seed == 42
     assert RunConfig().alpha_grid == (0.5, 1.0, 1.5, 2.0)
+
+
+def test_run_config_order_range_is_the_order_range():
+    # The grid accepts exactly the orders Order accepts, ALPHA_MIN included.
+    assert RunConfig(alpha_grid=(1e-6,)).alpha_grid == (1e-6,)
+    assert RunConfig(alpha_grid=(170.0,)).alpha_grid == (170.0,)
+    for alpha in (9.99e-7, 170.0001, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            RunConfig(alpha_grid=(0.5, alpha))
 
 
 # ----------------------------------------------------------------------
@@ -272,3 +282,49 @@ def test_main_exit_2_on_power_overflow(capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("fracbound: configuration error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bullen", "--interval", "0,1e-200", "--alpha", "2", "--trials", "3"],
+    ["verify-hadamard", "--interval", "0,1e-200", "--alpha", "2", "--trials", "3"],
+    ["sweep", "hadamard", "--interval=0,1e-300", "--alpha", "1.5"],
+    ["sweep", "bullen", "--interval=0,1e-300", "--alpha", "1.5"],
+], ids=["verify-bullen", "verify-hadamard", "sweep-hadamard", "sweep-bullen"])
+def test_main_exit_2_on_width_power_underflow(argv, capsys):
+    # (b - a)^alpha underflows to 0: the gap and the bound divide by it.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fracbound: configuration error:")
+    assert "underflow" in captured.err
+
+
+def test_audit_corollaries_runs_on_an_underflowing_interval(tmp_path):
+    # The audit works on the canonical interval [0, 1] whatever the run's is.
+    out = tmp_path / "audit.json"
+    argv = ["audit-corollaries", "--interval", "0,1e-200", "--alpha", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_bytes())["aggregate"]["evaluations"] == 192
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-bullen", "--trials", "3", "--interval", "1e8,1.00000001e8"],
+    ["verify-hadamard", "--trials", "2", "--interval=1.0,2.783936096400912e+223",
+     "--alpha", "0.00024042605507295582"],
+], ids=["verify-bullen-narrow", "verify-hadamard-wide"])
+def test_oracle_nonconvergence_is_an_oracle_breach(argv, tmp_path, capsys):
+    # The quadrature oracle gives up on these intervals; that is a breach of
+    # the oracle check, reported with the rest, not a crash.
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    doc = json.loads(out.read_bytes())
+    agg = doc["aggregate"]
+    assert set(agg) == {"evaluations", "violations", "max_ratio", "oracle_checks",
+                        "max_oracle_residual", "oracle_residual_breaches"}
+    resids = [r["oracle_residual"] for r in doc["records"] if "oracle_residual" in r]
+    assert len(resids) == agg["oracle_checks"]
+    failed = [r for r in resids if not r <= RESIDUAL_LIMIT]
+    assert 1 <= len(failed) == agg["oracle_residual_breaches"]
+    err = capsys.readouterr().err
+    assert "did not converge" in err

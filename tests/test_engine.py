@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracbound.bounds import BullenConfig, HadamardConfig, abs_moment_mid_closed
+from fracbound.bounds import BullenConfig, HadamardConfig, abs_moment_closed
 from fracbound.corpus import (LipschitzWitness, PiecewiseLinearFunction,
                               exact_rl_left, lipschitz_constant, random_lipschitz,
                               tent)
@@ -127,7 +127,7 @@ def test_bullen_simpson_nodes():
 def test_bullen_single_panel_degenerate():
     cfg = BullenConfig(ITV, Order(1.5), 0.0, 1.0, 0.0, 0.4, 0.4, 0.4)
     m = 1.3
-    want = 1.5 * m * abs_moment_mid_closed(0.4, 0.0, 1.0, Order(1.5))
+    want = 1.5 * m * abs_moment_closed(0.4, 0.0, 1.0, Order(1.5))
     assert bullen_bound(cfg, m) == pytest.approx(want, rel=1e-12)
 
 

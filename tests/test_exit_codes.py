@@ -1,0 +1,29 @@
+"""The exit-code contract of the CLI as a property: whatever interval and
+order the parser accepts, a run ends with 0 (all checks pass), 1 (a
+violation or an oracle breach) or 2 (a configuration error), never with an
+exception."""
+
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracbound.cli import main
+
+STARTS = (0.0, 1.0, -3.0, 1e8, -1e8, 1e-300)
+COMMANDS = (["verify-hadamard"], ["verify-bullen"], ["sweep", "hadamard"],
+            ["sweep", "bullen"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(COMMANDS),
+       start=st.sampled_from(STARTS),
+       log_width=st.floats(-300.0, 300.0),
+       log_alpha=st.floats(-6.0, 2.230448921378274),  # log10(170)
+       trials=st.integers(1, 3))
+def test_exit_code_is_0_1_or_2(command, start, log_width, log_alpha, trials):
+    end = start + 10.0 ** log_width
+    alpha = min(10.0 ** log_alpha, 170.0)
+    argv = command + [f"--interval={start!r},{end!r}", "--alpha", repr(alpha),
+                      "--trials", str(trials), "--out", os.devnull]
+    assert main(argv) in (0, 1, 2)
