@@ -105,10 +105,6 @@ def abs_moment_closed(y: float, lo: float, hi: float, order: Order) -> float:
     return _pw(w, alpha) * (r / alpha - w / (alpha + 1.0))
 
 
-def _clamp(t: float, lo: float, hi: float) -> float:
-    return lo if t < lo else hi if t > hi else t
-
-
 class PanelConfig(NamedTuple):
     """One k-panel configuration, already checked by whatever built it
     (:attr:`HadamardConfig.panels`, :attr:`BullenConfig.panels`,
@@ -135,7 +131,7 @@ def _panel_edges(interval: Interval, weights: tuple) -> tuple:
     prefix = weights[0]
     for p in range(1, k):
         left = weights[-1] if p == k - 1 else 1.0 - prefix
-        edges.append(_clamp(left * a + prefix * b, edges[-1], b))
+        edges.append(min(max(left * a + prefix * b, edges[-1]), b))
         prefix += weights[p]
     edges.append(b)
     return tuple(edges)

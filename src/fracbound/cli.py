@@ -8,19 +8,24 @@ check-identities  closed-form panel moments vs the quadrature oracle
 audit-corollaries shortcut coefficients vs the assembled oracle bound
 sweep             gap/bound/ratio table over a parameter grid
 
-Soundness sweep: verify-hadamard and verify-bullen draw every trial first,
-then evaluate all (trial x alpha) records in one batched pass over the
-k-panel form (k = 2 and k = 3 panels; :class:`fracbound.bounds.PanelConfigs`,
-:func:`fracbound.engine.panel_gap` and ``panel_bound``).  Its gap, bound,
-ratio and verdict equal those of the scalar functions (``hadamard_gap``,
-``bullen_bound``, ``verify`` and the rest) bit for bit, and it runs the
-same checks: config weights and node order, the literal-vs-assembled
-guard, a nonnegative bound total and a nonnegative gap and bound.  Every
-fractional power is Python's float ``**`` (libm ``pow``), applied element
-by element, not ``np.power``, whose SIMD loops differ from libm in the
-last bit on a few percent of arguments and would change report bytes.  The scalar functions
-remain the reference the tests hold the batched pass to, and the
-quadrature oracle of every tenth trial still runs through them.
+Evaluation: verify-hadamard, verify-bullen and sweep evaluate all their
+records in one batched pass over the k-panel form (k = 2 and k = 3
+panels; :class:`fracbound.bounds.PanelConfigs`,
+:func:`fracbound.engine.panel_gap` and ``panel_bound``).  The verify
+commands draw every trial first and make one record per (trial x alpha);
+sweep makes one per (alpha x grid point), all on one witness.  Gap,
+bound, ratio and verdict equal those of the scalar functions
+(``config_gap``, ``hadamard_bound``, ``bullen_bound``, ``verify``) bit for
+bit, and the pass runs the same checks: config weights and node order,
+the literal-vs-assembled guard, a nonnegative bound total and a
+nonnegative gap and bound.  Every fractional power is Python's float
+``**`` (libm ``pow``), applied element by element, not ``np.power``, whose
+SIMD loops differ from libm in the last bit on a few percent of arguments
+and would change report bytes.  The scalar functions remain the reference
+the tests hold the batched pass to.  The quadrature oracle of every tenth
+verify trial runs through ``config_gap`` on that record's row; an oracle
+check whose quadrature does not converge counts as a residual breach,
+and the number of such checks is named on stderr.
 
 Determinism: every random draw comes from numpy PCG64 seeded through
 SeedSequence(entropy=seed, spawn_key=(trial,)), one splittable stream per
@@ -32,7 +37,7 @@ echoed to stderr only, never into the report bytes.
 Exit codes: 0 all checks pass, 1 mathematical violation or residual
 breach, 2 I/O or configuration error (including an interval too narrow
 for a witness and an order at which a power of the interval width
-overflows binary64).
+overflows binary64 or underflows to 0).
 """
 
 from __future__ import annotations
@@ -359,7 +364,7 @@ def _two_node_sample(case: int, rng, a: float, b: float):
         y = float(rng.uniform(v, b))
     else:
         x, y = sorted(float(u) for u in rng.uniform(a, v, 2))
-    return lam, v, x, y
+    return (x, y), (a, v, b)
 
 
 def _three_node_sample(case: int, k: int, rng, a: float, b: float):
@@ -399,7 +404,21 @@ def _three_node_sample(case: int, k: int, rng, a: float, b: float):
             z = u(v1, v2)
         else:
             x, y, z = sorted((x, y, u(a, v1)))
-    return lam, eta, v1, v2, x, y, z
+    return (x, y, z), (a, v1, v2, b)
+
+
+def _panel_moments(nodes: tuple, edges: tuple, order: Order) -> list:
+    """(panel, closed form, quadrature) of every panel moment of a sample:
+    the left kernel on the first panel, the right kernel on the others."""
+    x, a, v = nodes[0], edges[0], edges[1]
+    moments = [("left", abs_moment_closed(-x, -v, -a, order),
+                abs_moment_quadrature(x, a, v, a, "left", order))]
+    for p in range(1, len(nodes)):
+        y, lo, hi = nodes[p], edges[p], edges[p + 1]
+        moments.append(("right" if p == len(nodes) - 1 else "mid",
+                        abs_moment_closed(y, lo, hi, order),
+                        abs_moment_quadrature(y, lo, hi, hi, "right", order)))
+    return moments
 
 
 def _continuity_probes(run: RunConfig, alpha: float, eps: float):
@@ -452,46 +471,26 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
     max_resid = 0.0
     resid_breaches = 0
     samples = 0
+    # (case prefix, orderings, stream offset, sampler) of each node count.
+    families = (
+        ("two_node", 3, 10_000, lambda case, k, rng: _two_node_sample(case, rng, a, b)),
+        ("three_node", 8, 20_000, lambda case, k, rng: _three_node_sample(case, k, rng, a, b)),
+    )
     for alpha in run.alpha_grid:
         order = Order(alpha)
-        for case in range(1, 4):
-            for k in range(per_case):
-                rng = _trial_rng(run.seed, 10_000 + 1_000 * case + k)
-                lam, v, x, y = _two_node_sample(case, rng, a, b)
-                moments = (
-                    ("left", abs_moment_closed(-x, -v, -a, order),
-                     abs_moment_quadrature(x, a, v, a, "left", order)),
-                    ("right", abs_moment_closed(y, v, b, order),
-                     abs_moment_quadrature(y, v, b, b, "right", order)),
-                )
-                samples += 1
-                for panel, closed, quad in moments:
-                    resid = _relative_residual(closed, quad)
-                    max_resid = max(max_resid, resid)
-                    resid_breaches += resid > RESIDUAL_LIMIT
-                    records.append({"kind": "moment", "case": f"two_node_case{case}",
-                                    "alpha": alpha, "panel": panel, "closed": closed,
-                                    "quad": quad, "residual": resid})
-        for case in range(1, 9):
-            for k in range(per_case):
-                rng = _trial_rng(run.seed, 20_000 + 1_000 * case + k)
-                lam, eta, v1, v2, x, y, z = _three_node_sample(case, k, rng, a, b)
-                moments = (
-                    ("left", abs_moment_closed(-x, -v1, -a, order),
-                     abs_moment_quadrature(x, a, v1, a, "left", order)),
-                    ("mid", abs_moment_closed(y, v1, v2, order),
-                     abs_moment_quadrature(y, v1, v2, v2, "right", order)),
-                    ("right", abs_moment_closed(z, v2, b, order),
-                     abs_moment_quadrature(z, v2, b, b, "right", order)),
-                )
-                samples += 1
-                for panel, closed, quad in moments:
-                    resid = _relative_residual(closed, quad)
-                    max_resid = max(max_resid, resid)
-                    resid_breaches += resid > RESIDUAL_LIMIT
-                    records.append({"kind": "moment", "case": f"three_node_case{case}",
-                                    "alpha": alpha, "panel": panel, "closed": closed,
-                                    "quad": quad, "residual": resid})
+        for family, cases, offset, sample in families:
+            for case in range(1, cases + 1):
+                for k in range(per_case):
+                    rng = _trial_rng(run.seed, offset + 1_000 * case + k)
+                    nodes, edges = sample(case, k, rng)
+                    samples += 1
+                    for panel, closed, quad in _panel_moments(nodes, edges, order):
+                        resid = _relative_residual(closed, quad)
+                        max_resid = max(max_resid, resid)
+                        resid_breaches += resid > RESIDUAL_LIMIT
+                        records.append({"kind": "moment", "case": f"{family}_case{case}",
+                                        "alpha": alpha, "panel": panel, "closed": closed,
+                                        "quad": quad, "residual": resid})
 
     eps = 1e-9 * max(1.0, b - a)
     max_delta = 0.0

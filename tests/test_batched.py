@@ -2,7 +2,8 @@
 
 Every comparison is exact (==): the batched gap, bound, ratio and verdict
 must equal engine.hadamard_gap/hadamard_bound, engine.bullen_gap/
-bullen_bound and engine.verify bit for bit, so no report changes.
+bullen_bound and engine.verify bit for bit, so no report changes; the
+verify commands and sweep both run on the batched pass.
 """
 
 import itertools
@@ -14,10 +15,10 @@ import pytest
 from fracbound import bounds, engine
 from fracbound.bounds import (BullenConfig, HadamardConfig, InconsistencyError,
                               PanelConfigs, v_bullen, v_hadamard)
-from fracbound.cli import RunConfig, cmd_verify_bullen, cmd_verify_hadamard
+from fracbound.cli import RunConfig, cmd_sweep, cmd_verify_bullen, cmd_verify_hadamard
 from fracbound.corpus import (WitnessArrays, exact_rl_left, exact_rl_mid,
                               exact_rl_panels, exact_rl_right, random_lipschitz,
-                              random_lipschitz_arrays, tent)
+                              random_lipschitz_arrays, tent, to_text)
 from fracbound.quadrature import DomainError, Interval, Order, power_array
 
 ALPHAS = (0.25, 0.5, 1.0, 1.5, 3.5)
@@ -25,12 +26,6 @@ INTERVALS = (Interval(0.0, 1.0), Interval(-3.0, 5.0), Interval(1000.0, 1002.0))
 TWO_NODE_LAMS = (0.0, 0.3, 0.5, 0.8, 1.0)
 THREE_NODE_WEIGHTS = ((0.2, 0.5, 0.3), (0.0, 0.6, 0.4), (0.35, 0.0, 0.65),
                       (0.45, 0.55, 0.0), (1.0, 0.0, 0.0))
-
-
-def witness_rows(witness, n: int) -> WitnessArrays:
-    f = witness.function
-    return WitnessArrays(np.tile(f.breakpoints, (n, 1)), np.tile(f.values, (n, 1)),
-                         np.full(n, witness.constant))
 
 
 def witnesses(itv: Interval):
@@ -79,7 +74,7 @@ def test_batched_equals_scalar_exactly(k, itv):
     batch = PanelConfigs(itv, [cfg.order.alpha for cfg, _, _ in cases],
                          [w for _, w, _ in cases], [x for _, _, x in cases])
     for witness in witnesses(itv):
-        rows = witness_rows(witness, len(cases))
+        rows = WitnessArrays.repeat(witness, len(cases))
         gap = engine.panel_gap(batch, rows)
         bound = engine.panel_bound(batch, rows.constants)
         ratio, passed = engine.verify_panels(gap, bound)
@@ -110,15 +105,43 @@ def test_batched_edges_encodings_and_panel_integrals_exact(k):
     assert assembled.tolist() == [bd.cross_total for bd in breakdowns]
     assert bounds.v_panels(batch).tolist() == [bd.total for bd in breakdowns]
     f = random_lipschitz(5, itv).function
-    rows = witness_rows(random_lipschitz(5, itv), len(cases))
+    rows = WitnessArrays.repeat(random_lipschitz(5, itv), len(cases))
     panels = exact_rl_panels(rows, batch.edges, batch.alpha)
     for i, (cfg, _, _) in enumerate(cases):
         edges = (cfg.v_node,) if k == 2 else (cfg.v1_node, cfg.v2_node)
         assert batch.edges[i].tolist() == [itv.a, *edges, itv.b]
+        assert batch.row(i) == cfg.panels
         want = [exact_rl_left(f, cfg.order, edges[0])]
         want += [exact_rl_mid(f, lo, hi, cfg.order) for lo, hi in zip(edges, edges[1:])]
         want += [exact_rl_right(f, cfg.order, edges[-1])]
         assert panels[i].tolist() == want
+
+
+@pytest.mark.parametrize("itv", INTERVALS, ids=lambda i: f"[{i.a:g},{i.b:g}]")
+@pytest.mark.parametrize("functional", ("hadamard", "bullen"))
+def test_sweep_equals_scalar_configs_exactly(functional, itv, tmp_path):
+    # sweep runs on the batched pass; its grid through the scalar configs
+    # must give the same records, bit for bit.
+    witness = random_lipschitz(7, itv)
+    path = tmp_path / "witness.txt"
+    path.write_text(to_text(witness.function))
+    rep = cmd_sweep(RunConfig(trials=1, alpha_grid=ALPHAS, interval=itv), functional,
+                    witness_path=str(path))
+    a, b = itv.a, itv.b
+    for rec in rep.records:
+        order, lam, delta = Order(rec["alpha"]), rec["lam"], rec["delta"]
+        outer = (delta * a + (1.0 - delta) * b, (1.0 - delta) * a + delta * b)
+        if functional == "hadamard":
+            cfg = HadamardConfig(itv, order, lam, *outer)
+            gap_fn, bound_fn = engine.hadamard_gap, engine.hadamard_bound
+        else:
+            eta = rec["eta"]
+            cfg = BullenConfig(itv, order, lam, eta, 1.0 - lam - eta,
+                               outer[0], (a + b) / 2.0, outer[1])
+            gap_fn, bound_fn = engine.bullen_gap, engine.bullen_bound
+        gap, bound = gap_fn(cfg, witness), bound_fn(cfg, witness.constant)
+        want = (gap, bound, engine.verify(gap, bound).ratio)
+        assert (rec["gap"], rec["bound"], rec["ratio"]) == want
 
 
 def test_witness_arrays_equal_scalar_witnesses():

@@ -118,6 +118,12 @@ def test_bullen_classical_reduction():
     assert bullen_bound(cfg, w.constant) == pytest.approx(w.constant / 8.0, rel=1e-12)
 
 
+def test_gap_rejects_a_witness_on_another_interval():
+    cfg = HadamardConfig(ITV, Order(1.0), 0.5, 0.2, 0.8)
+    with pytest.raises(DomainError):
+        hadamard_gap(cfg, LipschitzWitness(tent(Interval(0.0, 2.0), 1.0), 1.0))
+
+
 def test_bullen_simpson_nodes():
     cfg = BullenConfig(ITV, Order(2.0), 1 / 6, 2 / 3, 1 / 6, 0.0, 0.5, 1.0)
     assert cfg.v1_node == pytest.approx(1.0 / 6.0, abs=1e-15)
