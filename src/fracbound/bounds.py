@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -121,30 +120,8 @@ class PanelConfig(NamedTuple):
     edges: tuple
 
 
-def _panel_edges(interval: Interval, weights: tuple) -> tuple:
-    # e_p = (1 - P_p)*a + P_p*b clamped to [e_{p-1}, b], P_p the sum of the
-    # first p weights; the last interior edge takes the last weight in
-    # place of 1 - P_p.  PanelConfigs computes the same edges as arrays.
-    a, b = interval.a, interval.b
-    k = len(weights)
-    edges = [a]
-    prefix = weights[0]
-    for p in range(1, k):
-        left = weights[-1] if p == k - 1 else 1.0 - prefix
-        edges.append(min(max(left * a + prefix * b, edges[-1]), b))
-        prefix += weights[p]
-    edges.append(b)
-    return tuple(edges)
-
-
-def _moment_sum(panels: PanelConfig) -> float:
-    """Sum of the panel moments at the panel nodes, the first panel
-    reflected onto the right kernel."""
-    order, nodes, edges = panels.order, panels.nodes, panels.edges
-    total = abs_moment_closed(-nodes[0], -edges[1], -edges[0], order)
-    for p in range(1, len(nodes)):
-        total += abs_moment_closed(nodes[p], edges[p], edges[p + 1], order)
-    return total
+def _clamp(t: float, lo: float, hi: float) -> float:
+    return lo if t < lo else hi if t > hi else t
 
 
 @dataclass(frozen=True)
@@ -168,16 +145,17 @@ class HadamardConfig:
         if not (a <= self.x <= self.y <= b):
             raise DomainError(f"need a <= x <= y <= b, got x={self.x}, y={self.y} on [{a}, {b}]")
 
-    @cached_property
-    def panels(self) -> PanelConfig:
-        """The k-panel view: weights (lam, 1 - lam), nodes (x, y), edges (a, V, b)."""
-        weights = (self.lam, 1.0 - self.lam)
-        return PanelConfig(self.interval, self.order, weights, (self.x, self.y),
-                           _panel_edges(self.interval, weights))
-
     @property
     def v_node(self) -> float:
-        return self.panels.edges[1]
+        a, b = self.interval.a, self.interval.b
+        return _clamp((1.0 - self.lam) * a + self.lam * b, a, b)
+
+    @property
+    def panels(self) -> PanelConfig:
+        """The k-panel view: weights (lam, 1 - lam), nodes (x, y), edges (a, V, b)."""
+        itv = self.interval
+        return PanelConfig(itv, self.order, (self.lam, 1.0 - self.lam), (self.x, self.y),
+                           (itv.a, self.v_node, itv.b))
 
 
 @dataclass(frozen=True)
@@ -215,21 +193,23 @@ class BullenConfig:
             raise DomainError(
                 f"need a <= x <= y <= z <= b, got ({self.x}, {self.y}, {self.z}) on [{a}, {b}]")
 
-    @cached_property
-    def panels(self) -> PanelConfig:
-        """The k-panel view: weights (lam, eta, mu), nodes (x, y, z), edges
-        (a, V1, V2, b)."""
-        weights = (self.lam, self.eta, self.mu)
-        return PanelConfig(self.interval, self.order, weights, (self.x, self.y, self.z),
-                           _panel_edges(self.interval, weights))
-
     @property
     def v1_node(self) -> float:
-        return self.panels.edges[1]
+        a, b = self.interval.a, self.interval.b
+        return _clamp((1.0 - self.lam) * a + self.lam * b, a, b)
 
     @property
     def v2_node(self) -> float:
-        return self.panels.edges[2]
+        a, b = self.interval.a, self.interval.b
+        return _clamp(self.mu * a + (self.lam + self.eta) * b, self.v1_node, b)
+
+    @property
+    def panels(self) -> PanelConfig:
+        """The k-panel view: weights (lam, eta, mu), nodes (x, y, z), edges
+        (a, V1, V2, b)."""
+        itv = self.interval
+        return PanelConfig(itv, self.order, (self.lam, self.eta, self.mu),
+                           (self.x, self.y, self.z), (itv.a, self.v1_node, self.v2_node, itv.b))
 
 
 @dataclass(frozen=True)
@@ -277,7 +257,8 @@ def v_hadamard(config: HadamardConfig) -> BoundBreakdown:
     a, b = config.interval.a, config.interval.b
     alpha = config.order.alpha
     x, y, v = config.x, config.y, config.v_node
-    assembled = _moment_sum(config.panels)
+    assembled = (abs_moment_closed(-x, -v, -a, config.order)
+                 + abs_moment_closed(y, v, b, config.order))
 
     left_kink = 2.0 * _pw(x - a, alpha + 1.0) / (alpha * (alpha + 1.0))
     right_kink = 2.0 * _pw(b - y, alpha + 1.0) / (alpha * (alpha + 1.0))
@@ -319,7 +300,9 @@ def v_bullen(config: BullenConfig) -> BoundBreakdown:
     alpha = config.order.alpha
     x, y, z = config.x, config.y, config.z
     v1, v2 = config.v1_node, config.v2_node
-    assembled = _moment_sum(config.panels)
+    assembled = (abs_moment_closed(-x, -v1, -a, config.order)
+                 + abs_moment_closed(y, v1, v2, config.order)
+                 + abs_moment_closed(z, v2, b, config.order))
     denom = alpha * (alpha + 1.0)
     w1, w, w2 = v1 - a, v2 - v1, b - v2
 
@@ -389,7 +372,8 @@ class PanelConfigs:
     (lam, 1 - lam) the sum is exactly 1).  Edge e_p is (1 - P_p)*a + P_p*b
     clamped to [e_{p-1}, b], P_p being the sum of the first p weights; the
     last interior edge takes the last weight in place of 1 - P_p.  These
-    are the edges of the configs' ``panels`` view, bit for bit.
+    are the expressions of ``v_node``, ``v1_node`` and ``v2_node``, so every
+    edge equals theirs bit for bit.
     """
 
     interval: Interval
