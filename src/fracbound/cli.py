@@ -37,7 +37,7 @@ echoed to stderr only, never into the report bytes.
 Exit codes: 0 all checks pass, 1 mathematical violation or residual
 breach, 2 I/O or configuration error (including an interval too narrow
 for a witness and an order at which a power of the interval width
-overflows binary64 or underflows to 0).
+overflows or underflows binary64).
 """
 
 from __future__ import annotations
@@ -262,10 +262,12 @@ def _evaluate(interval: Interval, alpha, weights, nodes, witnesses: corpus.Witne
     returns (config, gap, bound, ratio, passed)."""
     cfg = bounds.PanelConfigs(interval, alpha, weights, nodes)
     width = interval.width
-    for al in set(cfg.alpha.tolist()):
-        if width ** al == 0.0:
-            raise DomainError(f"(b - a)^alpha underflows to 0 at width {width!r} and "
-                              f"order {al!r}; the gap and the bound divide by it")
+    for al in sorted(set(cfg.alpha.tolist())):
+        # A subnormal power has already lost digits; the gap and the bound
+        # divide by it.
+        if not width ** al >= sys.float_info.min:
+            raise DomainError(f"(b - a)^alpha underflows binary64 at width {width!r} "
+                              f"and order {al!r}")
     gap = engine.panel_gap(cfg, witnesses)
     bound = engine.panel_bound(cfg, witnesses.constants)
     ratio, passed = engine.verify_panels(gap, bound)

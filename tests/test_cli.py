@@ -289,9 +289,12 @@ def test_main_exit_2_on_power_overflow(capsys):
     ["verify-hadamard", "--interval", "0,1e-200", "--alpha", "2", "--trials", "3"],
     ["sweep", "hadamard", "--interval=0,1e-300", "--alpha", "1.5"],
     ["sweep", "bullen", "--interval=0,1e-300", "--alpha", "1.5"],
-], ids=["verify-bullen", "verify-hadamard", "sweep-hadamard", "sweep-bullen"])
+    ["sweep", "hadamard", "--interval=0,1e-160", "--alpha", "2"],
+], ids=["verify-bullen", "verify-hadamard", "sweep-hadamard", "sweep-bullen",
+        "sweep-hadamard-subnormal"])
 def test_main_exit_2_on_width_power_underflow(argv, capsys):
-    # (b - a)^alpha underflows to 0: the gap and the bound divide by it.
+    # (b - a)^alpha underflows to 0 or to a subnormal: the gap and the
+    # bound divide by it.
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
