@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from fracbound import __version__
-from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries, cmd_check_identities,
-                           cmd_sweep, cmd_verify_bullen, cmd_verify_hadamard, main)
+from fracbound import __version__, engine
+from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries,
+                           cmd_check_identities, cmd_sweep, cmd_verify_bullen,
+                           cmd_verify_hadamard, main)
 from fracbound.corpus import tent, to_text
-from fracbound.quadrature import DomainError, Interval
+from fracbound.quadrature import DomainError, Interval, QuadratureToleranceError
 
 SMALL = RunConfig(trials=10)
 
@@ -331,3 +332,26 @@ def test_oracle_nonconvergence_is_an_oracle_breach(argv, tmp_path, capsys):
     assert 1 <= len(failed) == agg["oracle_residual_breaches"]
     err = capsys.readouterr().err
     assert "did not converge" in err
+
+
+@pytest.mark.parametrize("estimate", ["exact", math.nan])
+def test_nonconverging_oracle_check_is_a_breach_whatever_its_estimate(estimate, monkeypatch):
+    # The oracle gives up with its best estimate: the check counts as a
+    # breach even when that estimate happens to match the exact gap, and
+    # a non-finite estimate records an infinite residual.
+    exact_gap = engine.config_gap
+
+    def gives_up(config, witness, method="oracle", settings=None):
+        value = exact_gap(config, witness) if estimate == "exact" else estimate
+        raise QuadratureToleranceError("gave up", value, 1.0)
+
+    monkeypatch.setattr(engine, "config_gap", gives_up)
+    rep = cmd_verify_bullen(RunConfig(trials=3))
+    resids = [r["oracle_residual"] for r in rep.records if "oracle_residual" in r]
+    assert len(resids) == rep.aggregate["oracle_checks"] == 4
+    assert rep.oracle_failures == rep.aggregate["oracle_residual_breaches"] == 4
+    assert rep.aggregate["violations"] == 0
+    if estimate == "exact":
+        assert max(resids) <= 1e-15
+    else:
+        assert resids == [math.inf] * 4
