@@ -94,7 +94,13 @@ class PiecewiseLinearFunction:
         if t >= bps[-1]:
             return vals[-1]
         i = bisect_right(bps, t) - 1
-        return vals[i] + (vals[i + 1] - vals[i]) * (t - bps[i]) / (bps[i + 1] - bps[i])
+        rise, run = vals[i + 1] - vals[i], t - bps[i]
+        step = rise * run
+        if not math.isfinite(step):
+            # rise * run overflows on intervals wider than about 1e154;
+            # dividing first keeps the value, at the cost of one rounding.
+            return vals[i] + rise * (run / (bps[i + 1] - bps[i]))
+        return vals[i] + step / (bps[i + 1] - bps[i])
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,13 @@ class WitnessArrays:
         t1 = np.take_along_axis(bps, seg + 1, axis=1)
         v0 = np.take_along_axis(vals, seg, axis=1)
         v1 = np.take_along_axis(vals, seg + 1, axis=1)
-        inner = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        rise, run = v1 - v0, t - t0
+        # The overflow fallback of PiecewiseLinearFunction.__call__; points
+        # past the ends, whose values are discarded, may overflow either form.
+        with np.errstate(over="ignore"):
+            step = rise * run
+            inner = v0 + np.where(np.isfinite(step), step / (t1 - t0),
+                                  rise * (run / (t1 - t0)))
         return np.where(t <= bps[:, :1], vals[:, :1],
                         np.where(t >= bps[:, -1:], vals[:, -1:], inner))
 

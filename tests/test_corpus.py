@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracbound.corpus import (LipschitzWitness, PiecewiseLinearFunction, exact_rl_left,
-                              exact_rl_mid, exact_rl_right, from_text,
+from fracbound.corpus import (LipschitzWitness, PiecewiseLinearFunction, WitnessArrays,
+                              exact_rl_left, exact_rl_mid, exact_rl_right, from_text,
                               lipschitz_constant, random_lipschitz, tent, to_text)
 from fracbound.quadrature import (DomainError, Interval, Order, abs_moment_quadrature,
                                   gamma_fn, rl_left, rl_mid, rl_right)
@@ -36,6 +36,20 @@ def test_evaluation_interpolates_and_clamps():
     assert f(0.5) == 1.0
     assert f(-0.1) == 0.0
     assert f(1.1) == 0.0
+
+
+def test_evaluation_on_a_wide_interval_stays_finite():
+    # rise * run overflows binary64 here although the interpolated value is
+    # of the order of the node values; scalar and batched evaluation agree.
+    f = PiecewiseLinearFunction((1.0, 1e223, 2.783936096400912e+223),
+                                (-1.5e223, 4.0e223, -3.0e223))
+    points = [1.0, 5e222, 1e223, 2e223, 2.7e223, 2.783936096400912e+223]
+    values = [f(t) for t in points]
+    assert all(math.isfinite(v) for v in values)
+    assert values[1] == pytest.approx(-1.5e223 + 5.5e223 * ((5e222 - 1.0) / (1e223 - 1.0)))
+    assert values[3] == pytest.approx(4.0e223 - 7.0e223 * (1e223 / 1.783936096400912e223))
+    batch = WitnessArrays.repeat(LipschitzWitness(f, lipschitz_constant(f)), 1)
+    assert batch(np.array([points])).tolist() == [values]
 
 
 @pytest.mark.parametrize("bps, vals, want", [
