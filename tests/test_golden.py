@@ -136,6 +136,40 @@ GOLDEN_SWEEP_SHA256 = {
 }
 
 
+# The corollary audit at seed 7 on [0, 1] over the benchmark's order grid
+# (77 orders, 0.25 to 5 in steps of 0.0625) and over the ends of the order
+# range: (grid, format) -> sha256 of the report bytes.
+AUDIT_GRIDS = {
+    "grid": tuple(repr(0.25 + i * 0.0625) for i in range(77)),
+    "extremes": ("1e-06", "0.25", "1", "30", "170"),
+}
+GOLDEN_AUDIT_GRID_SHA256 = {
+    ("grid", "json"): "0b4eb67c754426f4484019d18f7345c3d461c27f41cfd6010f47aa5bafadfa1e",
+    ("grid", "csv"): "d16a06a8610e7c9854b1f226010572cdbd874713123622571639c38f1e88ae2a",
+    ("extremes", "json"): "405f26906af5529765f885c238d24af9c761dbdd13e53a2d22c7bab60e20d339",
+    ("extremes", "csv"): "caa7d12d15b65ef162fe3ea219558508ab4f897130c789ddef5911a5e35946f2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AUDIT_GRID_SHA256), ids="-".join)
+def test_audit_order_grid_golden_digest(case, tmp_path):
+    grid, fmt = case
+    out = tmp_path / f"report.{fmt}"
+    argv = ["audit-corollaries", "--seed", "7", "--interval", "0,1", "--format", fmt,
+            "--out", str(out)]
+    for alpha in AUDIT_GRIDS[grid]:
+        argv += ["--alpha", alpha]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_AUDIT_GRID_SHA256[case]
+
+
+def test_audit_default_arguments_golden_digest(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["audit-corollaries", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "542f6b6d884859045e73fd288d119713df5ea4d1a4341729e9ffd61eac748864")
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=lambda c: "-".join(map(str, c)))
 def test_identities_and_audit_report_golden_digest(case, tmp_path):
     command, seed, interval, fmt = case
