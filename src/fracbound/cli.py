@@ -11,12 +11,15 @@ sweep             gap/bound/ratio table over a parameter grid
 Evaluation: verify-hadamard, verify-bullen and sweep evaluate all their
 records in one batched pass over the k-panel form (k = 2 and k = 3
 panels; :class:`fracbound.bounds.PanelConfigs`,
-:func:`fracbound.engine.panel_gap` and ``panel_bound``).  The verify
+:func:`fracbound.engine.panel_gap` and ``panel_bound``), and
+audit-corollaries evaluates each order in one such pass.  The verify
 commands draw every trial first and make one record per (trial x alpha);
-sweep makes one per (alpha x grid point), all on one witness.  Gap,
-bound, ratio and verdict equal those of the scalar functions
-(``config_gap``, ``hadamard_bound``, ``bullen_bound``, ``verify``) bit for
-bit, and the pass runs the same checks: config weights and node order,
+sweep makes one per (alpha x grid point), all on one witness; the audit
+tries each instance of an order on the same three witnesses, drawn once
+per run, and keeps the worst.  Gap, bound, ratio and verdict equal those
+of the scalar functions (``config_gap``, ``hadamard_bound``,
+``bullen_bound``, ``verify``) bit for bit, and the pass runs the same
+checks: config weights and node order,
 the literal-vs-assembled guard, a nonnegative bound total and a
 nonnegative gap and bound.  Every fractional power is Python's float
 ``**`` (libm ``pow``), applied element by element, not ``np.power``, whose

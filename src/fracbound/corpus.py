@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DomainError, Interval, Order, gamma_fn, power_array
+from .quadrature import DomainError, Interval, Order, gamma_fn, per_order, power_array
 
 __all__ = [
     "LipschitzWitness",
@@ -336,7 +336,7 @@ def exact_rl_panels(witnesses: WitnessArrays, edges: np.ndarray,
     bps, vals = witnesses.breakpoints, witnesses.values
     alpha = np.asarray(alpha, dtype=float)
     alpha_col, alpha1_col = alpha[:, None], alpha[:, None] + 1.0
-    gammas = np.array([gamma_fn(al) for al in alpha.tolist()])
+    gammas = per_order(gamma_fn, alpha)
     slope = (vals[:, 1:] - vals[:, :-1]) / (bps[:, 1:] - bps[:, :-1])
     panels = np.empty((len(alpha), edges.shape[1] - 1))
     for p in range(panels.shape[1]):

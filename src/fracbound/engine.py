@@ -17,19 +17,27 @@ against the oracle-validated assembled bound.  Deviations above 1e-8 are
 recorded as :class:`ErratumEntry` data, never silently corrected, and a
 deviating shortcut value is never used to fail a witness: the assembled
 bound is ground truth.
+
+The batched k-panel evaluator (``panel_gap``, ``panel_bound``,
+``verify_panels``) serves the verify commands, ``sweep`` and the corollary
+audit; its values equal those of the scalar functions (``config_gap``,
+``hadamard_bound``, ``bullen_bound``, ``verify``) bit for bit, and the
+scalar functions are the reference the tests hold it to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bounds, corpus, quadrature
 from .bounds import BullenConfig, HadamardConfig, PanelConfig, PanelConfigs, _pw
 from .quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
-                         QuadratureSettings, gamma_fn)
+                         QuadratureSettings, gamma_fn, per_order)
 
 __all__ = [
     "CorollaryFinding",
@@ -197,7 +205,7 @@ def panel_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays) -> np.ndarr
     integrals = panels[:, 0]
     for p in range(1, panels.shape[1]):
         integrals = integrals + panels[:, p]
-    scale = np.array([gamma_fn(al + 1.0) / (b - a) ** al for al in alpha.tolist()])
+    scale = per_order(lambda al: gamma_fn(al + 1.0) / (b - a) ** al, alpha)
     return np.abs(weighted - scale * integrals)
 
 
@@ -209,7 +217,7 @@ def panel_bound(config: PanelConfigs, m: np.ndarray) -> np.ndarray:
     if (m < 0.0).any():
         raise DomainError(f"Lipschitz constant must be >= 0, got {m.min()}")
     width = config.interval.width
-    scale = np.array([width ** al for al in config.alpha.tolist()])
+    scale = per_order(lambda al: width ** al, config.alpha)
     return config.alpha * m * bounds.v_panels(config) / scale
 
 
@@ -292,19 +300,125 @@ class CorollaryFinding:
         return rec
 
 
-def _adjudicate(printed: float, oracle: float, deviation: float,
-                panels: PanelConfig, witnesses, scale: float = 1.0) -> GapResult:
-    # Shortcut values that disagree with the oracle never fail a witness;
-    # the assembled bound is ground truth.
-    agree = deviation <= ERRATUM_THRESHOLD
-    coeff = min(printed, oracle) if agree else oracle
-    worst = None
-    for w in witnesses:
-        gap = scale * config_gap(panels, w)
-        res = verify(gap, coeff * w.constant)
-        if worst is None or res.ratio > worst.ratio:
-            worst = res
-    return worst
+class _Instance(NamedTuple):
+    """One audited instance: its shortcut value, its k-panel weights and
+    nodes, and the side scale its bound and gap both carry."""
+
+    formula_id: str
+    params: tuple
+    printed: float
+    weights: tuple
+    nodes: tuple
+    scale: float = 1.0
+
+
+def _instances(interval: Interval, order: Order, params: CorollaryParams):
+    """Every audited instance at one order, in report order."""
+    a, b = interval.a, interval.b
+    width = interval.width
+    alpha = order.alpha
+
+    # Symmetric two-node coefficient (three cases in lam).
+    for lam in params.lambdas:
+        for delta in params.deltas:
+            yield _Instance("symmetric_pair_coeff", (("lam", lam), ("delta", delta)),
+                            bounds.l_coeff(order, lam, delta) * width / (alpha + 1.0),
+                            (lam, 1.0 - lam),
+                            (delta * a + (1.0 - delta) * b, (1.0 - delta) * a + delta * b))
+
+    # Coincident nodes x = y = V.
+    for lam in params.lambdas:
+        v = (1.0 - lam) * a + lam * b
+        printed = (_pw(v - a, alpha + 1.0) + _pw(b - v, alpha + 1.0)) / ((alpha + 1.0) * width ** alpha)
+        yield _Instance("coincident_node_bound", (("lam", lam),), printed, (lam, 1.0 - lam), (v, v))
+
+    # Endpoint nodes x = a, y = b (delta = 1 specialization).
+    for lam in params.lambdas:
+        printed = alpha * width * (_pw(lam, alpha + 1.0) + _pw(1.0 - lam, alpha + 1.0)) / (alpha + 1.0)
+        yield _Instance("endpoint_pair_bound", (("lam", lam),), printed, (lam, 1.0 - lam), (a, b))
+
+    # Single shifted node x = y = dn*a + (1-dn)*b with free lam.
+    for lam in params.lambdas:
+        for dn in params.node_deltas:
+            node = dn * a + (1.0 - dn) * b
+            printed = width * (_pw(dn, alpha + 1.0) + _pw(1.0 - dn, alpha + 1.0)) / (alpha + 1.0)
+            yield _Instance("shifted_single_node_bound", (("lam", lam), ("node_delta", dn)),
+                            printed, (lam, 1.0 - lam), (node, node))
+
+    # Quarter-node pair: lam = 1/2, delta = 3/4, sides scaled by 2^(alpha-1).
+    if params.deltas:
+        printed = width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0)) / (2.0 ** (alpha + 1.0) * (alpha + 1.0))
+        yield _Instance("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)), printed,
+                        (0.5, 0.5), ((3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0),
+                        2.0 ** (alpha - 1.0))
+
+    # Three-node midpoint coefficient (eight orderings).
+    for lam, eta in params.simplex:
+        for delta in params.deltas:
+            case = bounds.n_case_index(lam, eta, delta)
+            yield _Instance(f"midpoint_triple_coeff_case{case}",
+                            (("lam", lam), ("eta", eta), ("delta", delta)),
+                            bounds.n_coeff(order, lam, eta, delta) * width / (alpha + 1.0),
+                            (lam, eta, 1.0 - lam - eta),
+                            (delta * a + (1.0 - delta) * b, (a + b) / 2.0,
+                             (1.0 - delta) * a + delta * b))
+
+    # Theta-weighted endpoint/midpoint bracket.
+    for theta in params.thetas:
+        yield _Instance("theta_weighted_triple_bound", (("theta", theta),),
+                        bounds.weighted_bullen_coeff(order, theta) * width / (alpha + 1.0),
+                        (theta / 2.0, 1.0 - theta, theta / 2.0), (a, (a + b) / 2.0, b))
+
+    # Shortcut forms of the theta = 1/2 and theta = 1/3 instances; sides
+    # carry the scale that matches their fractional-integral terms.
+    if params.thetas:
+        for formula_id, theta, coeff, scale in (
+                ("bullen_theta_half_bound", 0.5, bounds.bullen_remark_coeff(alpha),
+                 2.0 ** (alpha - 1.0)),
+                ("simpson_theta_third_bound", 1.0 / 3.0, bounds.simpson_remark_coeff(alpha),
+                 6.0 ** (alpha - 1.0))):
+            yield _Instance(formula_id, (("theta", theta),), coeff * width,
+                            (theta / 2.0, 1.0 - theta, theta / 2.0), (a, (a + b) / 2.0, b),
+                            scale)
+
+
+@lru_cache(maxsize=8)
+def _audit_witnesses(seeds: tuple, interval: Interval) -> corpus.WitnessArrays:
+    """The audit's random witnesses; they do not depend on the order, so one
+    draw serves every order of a run."""
+    return corpus.random_lipschitz_arrays(seeds, interval)
+
+
+def _adjudicate(interval: Interval, alpha: float, group: list,
+                witnesses: corpus.WitnessArrays) -> tuple:
+    """Assembled bound, deviation and worst witness adjudication of
+    instances that share a node count, in one batched k-panel pass.
+
+    Each instance is tried on every witness (rows instance-major), against
+    the smaller of its shortcut and assembled bounds when they agree, else
+    against the assembled bound: a deviating shortcut never fails a witness.
+    The worst witness is the first of largest ratio.  Returns the arrays
+    (oracle, deviation, gap, bound_used, ratio, passed), one entry per
+    instance.
+    """
+    n, n_wit = len(group), len(witnesses.constants)
+    weights = np.array([inst.weights for inst in group])
+    nodes = np.array([inst.nodes for inst in group])
+    scale = np.array([inst.scale for inst in group])
+    printed = np.array([inst.printed for inst in group])
+    cfg = PanelConfigs(interval, np.full(n, alpha), weights, nodes)
+    oracle = panel_bound(cfg, np.ones(n)) * scale
+    deviation = np.abs(printed - oracle)
+    # min(printed, oracle) where they agree, else oracle.
+    coeff = np.where((deviation <= ERRATUM_THRESHOLD) & ~(oracle < printed), printed, oracle)
+    inst = np.repeat(np.arange(n), n_wit)
+    wit = np.tile(np.arange(n_wit), n)
+    rows = PanelConfigs(interval, np.full(n * n_wit, alpha), weights[inst], nodes[inst])
+    gap = scale[inst] * panel_gap(rows, witnesses.take(wit))
+    bound = coeff[inst] * witnesses.constants[wit]
+    ratio, passed = verify_panels(gap, bound)
+    worst = np.arange(n) * n_wit + np.argmax(ratio.reshape(n, n_wit), axis=1)
+    return oracle, deviation, gap[worst], bound[worst], ratio[worst], passed[worst]
 
 
 def corollary_suite(interval: Interval, order: Order,
@@ -319,100 +433,34 @@ def corollary_suite(interval: Interval, order: Order,
     canonical on [0, 1]; scale covariance extends them to general
     intervals.
 
+    Steps (ii) and (iii) run in one batched k-panel pass per node count
+    (:func:`panel_bound`, :func:`panel_gap`, :func:`verify_panels`), whose
+    values equal those of :func:`hadamard_bound`, :func:`bullen_bound`,
+    :func:`config_gap` and :func:`verify` bit for bit.  The witnesses are
+    drawn once per seeds and interval, whatever the order.
+
     Returns a list of :class:`CorollaryFinding`, deterministic in both
     content and order.
     """
     if params is None:
         params = CorollaryParams()
-    a, b = interval.a, interval.b
-    width = interval.width
     alpha = order.alpha
-    witnesses = tuple(corpus.random_lipschitz(seed, interval)
-                      for seed in params.witness_seeds)
+    instances = list(_instances(interval, order, params))
+    witnesses = _audit_witnesses(params.witness_seeds, interval)
+    by_nodes: dict = {}
+    for i, inst in enumerate(instances):
+        by_nodes.setdefault(len(inst.nodes), []).append(i)
+    results = [None] * len(instances)
+    for indices in by_nodes.values():
+        columns = _adjudicate(interval, alpha, [instances[i] for i in indices], witnesses)
+        for i, result in zip(indices, zip(*(c.tolist() for c in columns))):
+            results[i] = result
     findings = []
-
-    def emit(formula_id, pt, printed, oracle, cfg, scale=1.0):
-        deviation = abs(printed - oracle)
-        res = _adjudicate(printed, oracle, deviation, cfg.panels, witnesses, scale)
-        erratum = None
-        if deviation > ERRATUM_THRESHOLD:
-            erratum = ErratumEntry(formula_id, deviation, (("alpha", alpha),) + pt)
-        findings.append(CorollaryFinding(formula_id, (("alpha", alpha),) + pt,
-                                         printed, oracle, deviation, res, erratum))
-
-    # Symmetric two-node coefficient (three cases in lam).
-    for lam in params.lambdas:
-        for delta in params.deltas:
-            x = delta * a + (1.0 - delta) * b
-            y = (1.0 - delta) * a + delta * b
-            cfg = HadamardConfig(interval, order, lam, x, y)
-            printed = bounds.l_coeff(order, lam, delta) * width / (alpha + 1.0)
-            emit("symmetric_pair_coeff", (("lam", lam), ("delta", delta)),
-                 printed, hadamard_bound(cfg, 1.0), cfg)
-
-    # Coincident nodes x = y = V.
-    for lam in params.lambdas:
-        v = (1.0 - lam) * a + lam * b
-        cfg = HadamardConfig(interval, order, lam, v, v)
-        printed = (_pw(v - a, alpha + 1.0) + _pw(b - v, alpha + 1.0)) / ((alpha + 1.0) * width ** alpha)
-        emit("coincident_node_bound", (("lam", lam),),
-             printed, hadamard_bound(cfg, 1.0), cfg)
-
-    # Endpoint nodes x = a, y = b (delta = 1 specialization).
-    for lam in params.lambdas:
-        cfg = HadamardConfig(interval, order, lam, a, b)
-        printed = alpha * width * (_pw(lam, alpha + 1.0) + _pw(1.0 - lam, alpha + 1.0)) / (alpha + 1.0)
-        emit("endpoint_pair_bound", (("lam", lam),),
-             printed, hadamard_bound(cfg, 1.0), cfg)
-
-    # Single shifted node x = y = dn*a + (1-dn)*b with free lam.
-    for lam in params.lambdas:
-        for dn in params.node_deltas:
-            node = dn * a + (1.0 - dn) * b
-            cfg = HadamardConfig(interval, order, lam, node, node)
-            printed = width * (_pw(dn, alpha + 1.0) + _pw(1.0 - dn, alpha + 1.0)) / (alpha + 1.0)
-            emit("shifted_single_node_bound", (("lam", lam), ("node_delta", dn)),
-                 printed, hadamard_bound(cfg, 1.0), cfg)
-
-    # Quarter-node pair: lam = 1/2, delta = 3/4, sides scaled by 2^(alpha-1).
-    if params.deltas:
-        scale = 2.0 ** (alpha - 1.0)
-        cfg = HadamardConfig(interval, order, 0.5, (3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0)
-        printed = width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0)) / (2.0 ** (alpha + 1.0) * (alpha + 1.0))
-        emit("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)),
-             printed, scale * hadamard_bound(cfg, 1.0), cfg, scale=scale)
-
-    # Three-node midpoint coefficient (eight orderings).
-    for lam, eta in params.simplex:
-        for delta in params.deltas:
-            case = bounds.n_case_index(lam, eta, delta)
-            cfg = BullenConfig(interval, order, lam, eta, 1.0 - lam - eta,
-                               delta * a + (1.0 - delta) * b, (a + b) / 2.0,
-                               (1.0 - delta) * a + delta * b)
-            printed = bounds.n_coeff(order, lam, eta, delta) * width / (alpha + 1.0)
-            emit(f"midpoint_triple_coeff_case{case}",
-                 (("lam", lam), ("eta", eta), ("delta", delta)),
-                 printed, bullen_bound(cfg, 1.0), cfg)
-
-    # Theta-weighted endpoint/midpoint bracket.
-    for theta in params.thetas:
-        cfg = BullenConfig(interval, order, theta / 2.0, 1.0 - theta, theta / 2.0,
-                           a, (a + b) / 2.0, b)
-        printed = bounds.weighted_bullen_coeff(order, theta) * width / (alpha + 1.0)
-        emit("theta_weighted_triple_bound", (("theta", theta),),
-             printed, bullen_bound(cfg, 1.0), cfg)
-
-    # Shortcut forms of the theta = 1/2 and theta = 1/3 instances; sides
-    # carry the scale that matches their fractional-integral terms.
-    fixed_thetas = () if not params.thetas else (
-        ("bullen_theta_half_bound", 0.5, 2.0 ** (alpha - 1.0)),
-        ("simpson_theta_third_bound", 1.0 / 3.0, 6.0 ** (alpha - 1.0)))
-    for formula_id, theta, scale in fixed_thetas:
-        cfg = BullenConfig(interval, order, theta / 2.0, 1.0 - theta, theta / 2.0,
-                           a, (a + b) / 2.0, b)
-        coeff = (bounds.bullen_remark_coeff(alpha) if formula_id == "bullen_theta_half_bound"
-                 else bounds.simpson_remark_coeff(alpha))
-        emit(formula_id, (("theta", theta),),
-             coeff * width, scale * bullen_bound(cfg, 1.0), cfg, scale=scale)
-
+    for inst, (oracle, deviation, gap, bound, ratio, passed) in zip(instances, results):
+        pt = (("alpha", alpha),) + inst.params
+        erratum = (ErratumEntry(inst.formula_id, deviation, pt)
+                   if deviation > ERRATUM_THRESHOLD else None)
+        findings.append(CorollaryFinding(inst.formula_id, pt, inst.printed, oracle, deviation,
+                                         GapResult(gap, bound, ratio, "oracle", passed),
+                                         erratum))
     return findings

@@ -42,6 +42,7 @@ __all__ = [
     "QuadratureToleranceError",
     "abs_moment_quadrature",
     "gamma_fn",
+    "per_order",
     "power_array",
     "rl_left",
     "rl_mid",
@@ -122,6 +123,13 @@ def power_array(base, exponent) -> np.ndarray:
     clamped = np.where(base <= 0.0, 0.0, base)
     powers = map(operator.pow, clamped.ravel().tolist(), exps.ravel().tolist())
     return np.fromiter(powers, dtype=float, count=base.size).reshape(base.shape)
+
+
+def per_order(fn, alpha) -> np.ndarray:
+    """fn(al) for every entry al of the order array ``alpha``, called once
+    per distinct order: a batch holds few orders and many rows."""
+    distinct, inverse = np.unique(np.asarray(alpha, dtype=float), return_inverse=True)
+    return np.array([fn(al) for al in distinct.tolist()], dtype=float)[inverse]
 
 
 @dataclass(frozen=True)
