@@ -385,11 +385,15 @@ def _instances(interval: Interval, order: Order, params: CorollaryParams):
 @lru_cache(maxsize=8)
 def _audit_witnesses(seeds: tuple, interval: Interval) -> corpus.WitnessArrays:
     """The audit's random witnesses; they do not depend on the order, so one
-    draw serves every order of a run."""
-    return corpus.random_lipschitz_arrays(seeds, interval)
+    draw serves every order of a run.  Every caller shares the arrays, so
+    they are read-only."""
+    witnesses = corpus.random_lipschitz_arrays(seeds, interval)
+    for array in (witnesses.breakpoints, witnesses.values, witnesses.constants):
+        array.flags.writeable = False
+    return witnesses
 
 
-def _adjudicate(interval: Interval, alpha: float, group: list,
+def _audit_panels(interval: Interval, alpha: float, group: list,
                 witnesses: corpus.WitnessArrays) -> tuple:
     """Assembled bound, deviation and worst witness adjudication of
     instances that share a node count, in one batched k-panel pass.
@@ -452,7 +456,7 @@ def corollary_suite(interval: Interval, order: Order,
         by_nodes.setdefault(len(inst.nodes), []).append(i)
     results = [None] * len(instances)
     for indices in by_nodes.values():
-        columns = _adjudicate(interval, alpha, [instances[i] for i in indices], witnesses)
+        columns = _audit_panels(interval, alpha, [instances[i] for i in indices], witnesses)
         for i, result in zip(indices, zip(*(c.tolist() for c in columns))):
             results[i] = result
     findings = []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracbound import corpus
 from fracbound.bounds import BullenConfig, HadamardConfig, abs_moment_closed
 from fracbound.corpus import (LipschitzWitness, PiecewiseLinearFunction,
                               exact_rl_left, lipschitz_constant, random_lipschitz,
@@ -284,6 +285,21 @@ def test_corollary_params_custom_witnesses():
     params = CorollaryParams(witness_seeds=(7,))
     findings = corollary_suite(ITV, Order(1.0), params)
     assert all(f.gap_result.passed for f in findings)
+
+
+def test_corollary_suite_draws_its_witnesses_once_per_run(monkeypatch):
+    # The witnesses do not depend on the order; seeds no other test uses
+    # keep the draw out of the shared cache until here.
+    draws = []
+    draw = corpus.random_lipschitz_arrays
+    monkeypatch.setattr(corpus, "random_lipschitz_arrays",
+                        lambda *args: draws.append(args) or draw(*args))
+    params = CorollaryParams(witness_seeds=(5151, 5252, 5353))
+    first = corollary_suite(ITV, Order(0.5), params)
+    for alpha in (1.0, 2.0, 0.5):
+        corollary_suite(ITV, Order(alpha), params)
+    assert draws == [((5151, 5252, 5353), ITV)]
+    assert corollary_suite(ITV, Order(0.5), params) == first
 
 
 def test_corollary_suite_empty_grids_empty_report():

@@ -3,12 +3,14 @@
 The verify digests were recorded with the per-record scalar sweep (one
 config, exact gap and dual-path bound per record); the check-identities,
 audit-corollaries and sweep digests with the per-node-count panel
-moments, gaps and bounds.  Every later rework of the evaluators must
-reproduce them byte for byte.
+moments, gaps and bounds; the audit digests over order grids and with
+default arguments with the record-by-record audit.  Every later rework of
+the evaluators must reproduce them byte for byte.
 """
 
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 
@@ -136,38 +138,33 @@ GOLDEN_SWEEP_SHA256 = {
 }
 
 
-# The corollary audit at seed 7 on [0, 1] over the benchmark's order grid
+# The corollary audit on [0, 1]: at seed 7 over the benchmark's order grid
 # (77 orders, 0.25 to 5 in steps of 0.0625) and over the ends of the order
-# range: (grid, format) -> sha256 of the report bytes.
-AUDIT_GRIDS = {
-    "grid": tuple(repr(0.25 + i * 0.0625) for i in range(77)),
-    "extremes": ("1e-06", "0.25", "1", "30", "170"),
+# range, and with default arguments: (arguments, format) -> sha256 of the
+# report bytes.
+AUDIT_ARGS = {
+    "grid": ("--seed", "7") + tuple(chain.from_iterable(
+        ("--alpha", repr(0.25 + i * 0.0625)) for i in range(77))),
+    "extremes": ("--seed", "7") + tuple(chain.from_iterable(
+        ("--alpha", alpha) for alpha in ("1e-06", "0.25", "1", "30", "170"))),
+    "default": (),
 }
-GOLDEN_AUDIT_GRID_SHA256 = {
+GOLDEN_AUDIT_ARGS_SHA256 = {
     ("grid", "json"): "0b4eb67c754426f4484019d18f7345c3d461c27f41cfd6010f47aa5bafadfa1e",
     ("grid", "csv"): "d16a06a8610e7c9854b1f226010572cdbd874713123622571639c38f1e88ae2a",
     ("extremes", "json"): "405f26906af5529765f885c238d24af9c761dbdd13e53a2d22c7bab60e20d339",
     ("extremes", "csv"): "caa7d12d15b65ef162fe3ea219558508ab4f897130c789ddef5911a5e35946f2",
+    ("default", "json"): "542f6b6d884859045e73fd288d119713df5ea4d1a4341729e9ffd61eac748864",
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_AUDIT_GRID_SHA256), ids="-".join)
-def test_audit_order_grid_golden_digest(case, tmp_path):
-    grid, fmt = case
+@pytest.mark.parametrize("case", sorted(GOLDEN_AUDIT_ARGS_SHA256), ids="-".join)
+def test_audit_golden_digest(case, tmp_path):
+    args, fmt = case
     out = tmp_path / f"report.{fmt}"
-    argv = ["audit-corollaries", "--seed", "7", "--interval", "0,1", "--format", fmt,
-            "--out", str(out)]
-    for alpha in AUDIT_GRIDS[grid]:
-        argv += ["--alpha", alpha]
+    argv = ["audit-corollaries", *AUDIT_ARGS[args], "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_AUDIT_GRID_SHA256[case]
-
-
-def test_audit_default_arguments_golden_digest(tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["audit-corollaries", "--out", str(out)]) == 0
-    assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "542f6b6d884859045e73fd288d119713df5ea4d1a4341729e9ffd61eac748864")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_AUDIT_ARGS_SHA256[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORT_SHA256), ids=lambda c: "-".join(map(str, c)))
