@@ -448,6 +448,8 @@ def corollary_suite(interval: Interval, order: Order,
     """
     if params is None:
         params = CorollaryParams()
+    if not params.witness_seeds:
+        raise DomainError("the corollary audit needs at least one witness seed")
     alpha = order.alpha
     instances = list(_instances(interval, order, params))
     witnesses = _audit_witnesses(params.witness_seeds, interval)

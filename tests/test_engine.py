@@ -306,6 +306,8 @@ def test_corollary_suite_empty_grids_empty_report():
     params = CorollaryParams(lambdas=(), deltas=(), node_deltas=(), simplex=(),
                              thetas=())
     assert corollary_suite(ITV, Order(1.0), params) == []
+    with pytest.raises(DomainError):
+        corollary_suite(ITV, Order(1.0), CorollaryParams(witness_seeds=()))
 
 
 def test_quarter_pair_unit_order_value():
