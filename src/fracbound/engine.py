@@ -394,7 +394,7 @@ def _audit_witnesses(seeds: tuple, interval: Interval) -> corpus.WitnessArrays:
 
 
 def _audit_panels(interval: Interval, alpha: float, group: list,
-                witnesses: corpus.WitnessArrays) -> tuple:
+                  witnesses: corpus.WitnessArrays) -> tuple:
     """Assembled bound, deviation and worst witness adjudication of
     instances that share a node count, in one batched k-panel pass.
 
@@ -413,7 +413,7 @@ def _audit_panels(interval: Interval, alpha: float, group: list,
     cfg = PanelConfigs(interval, np.full(n, alpha), weights, nodes)
     oracle = panel_bound(cfg, np.ones(n)) * scale
     deviation = np.abs(printed - oracle)
-    # min(printed, oracle) where they agree, else oracle.
+    # Python's min(printed, oracle) where they agree, else oracle.
     coeff = np.where((deviation <= ERRATUM_THRESHOLD) & ~(oracle < printed), printed, oracle)
     inst = np.repeat(np.arange(n), n_wit)
     wit = np.tile(np.arange(n_wit), n)
