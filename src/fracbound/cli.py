@@ -28,7 +28,9 @@ and would change report bytes.  The scalar functions remain the reference
 the tests hold the batched pass to.  The quadrature oracle of every tenth
 verify trial runs through ``config_gap`` on that record's row; an oracle
 check whose quadrature does not converge counts as a residual breach,
-and the number of such checks is named on stderr.
+and the number of such checks is named on stderr.  check-identities
+draws its samples once per run (a sample's stream does not depend on the
+order) and checks each one at every order of the grid.
 
 Determinism: every random draw comes from numpy PCG64 seeded through
 SeedSequence(entropy=seed, spawn_key=(trial,)), one splittable stream per
@@ -464,9 +466,11 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
 
     Samples per_case configurations for each of the 3 two-node and 8
     three-node orderings at every grid order; per_case defaults to
-    whatever brings the total to at least 500 samples.  Reports the worst
-    relative residual and probes value continuity across each case
-    boundary at +-1e-9 offsets.
+    whatever brings the total to at least 500 samples.  Each sample is
+    drawn once per run, from a stream that does not depend on the order,
+    and checked at every order.  Reports the worst relative residual and
+    probes value continuity across each case boundary at +-1e-9 (b - a)
+    offsets.
     """
     t0 = time.perf_counter()
     if per_case is None:
@@ -475,29 +479,29 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
     records = []
     max_resid = 0.0
     resid_breaches = 0
-    samples = 0
     # (case prefix, orderings, stream offset, sampler) of each node count.
     families = (
         ("two_node", 3, 10_000, lambda case, k, rng: _two_node_sample(case, rng, a, b)),
         ("three_node", 8, 20_000, lambda case, k, rng: _three_node_sample(case, k, rng, a, b)),
     )
+    # (case tag, nodes, edges) of every sample
+    drawn = [(f"{family}_case{case}",
+              *sample(case, k, _trial_rng(run.seed, offset + 1_000 * case + k)))
+             for family, cases, offset, sample in families
+             for case in range(1, cases + 1)
+             for k in range(per_case)]
     for alpha in run.alpha_grid:
         order = Order(alpha)
-        for family, cases, offset, sample in families:
-            for case in range(1, cases + 1):
-                for k in range(per_case):
-                    rng = _trial_rng(run.seed, offset + 1_000 * case + k)
-                    nodes, edges = sample(case, k, rng)
-                    samples += 1
-                    for panel, closed, quad in _panel_moments(nodes, edges, order):
-                        resid = _relative_residual(closed, quad)
-                        max_resid = max(max_resid, resid)
-                        resid_breaches += resid > RESIDUAL_LIMIT
-                        records.append({"kind": "moment", "case": f"{family}_case{case}",
-                                        "alpha": alpha, "panel": panel, "closed": closed,
-                                        "quad": quad, "residual": resid})
+        for tag, nodes, edges in drawn:
+            for panel, closed, quad in _panel_moments(nodes, edges, order):
+                resid = _relative_residual(closed, quad)
+                max_resid = max(max_resid, resid)
+                resid_breaches += resid > RESIDUAL_LIMIT
+                records.append({"kind": "moment", "case": tag, "alpha": alpha,
+                                "panel": panel, "closed": closed, "quad": quad,
+                                "residual": resid})
 
-    eps = 1e-9 * max(1.0, b - a)
+    eps = 1e-9 * (b - a)
     max_delta = 0.0
     continuity_breaches = 0
     for alpha in run.alpha_grid:
@@ -511,7 +515,7 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
                             "closed": below, "quad": above, "residual": normalized})
 
     aggregate = {
-        "evaluations": samples,
+        "evaluations": len(drawn) * len(run.alpha_grid),
         "violations": resid_breaches + continuity_breaches,
         "max_residual": max_resid,
         "residual_breaches": resid_breaches,

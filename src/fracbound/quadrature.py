@@ -6,8 +6,14 @@ reduce to one core problem,
 
     integral_0^W u^(alpha-1) g(u) du
 
-with g bounded.  For alpha < 1 the kernel is singular at u = 0; the change
-of variables s = u^alpha removes it, turning the integral into
+with g bounded.  Callers pass g as g(u) = h(origin + u) or h(origin - u):
+rl_left passes the function and the left end a, rl_mid the function and
+the right end v2, and the moment oracle passes h = abs with origin
+x - lower or x - upper.  The integrand handed to QUADPACK is then a single
+closure over h, one Python frame per point besides h's own.
+
+For alpha < 1 the kernel is singular at u = 0; the change of variables
+s = u^alpha removes it, turning the integral into
 
     (1/alpha) * integral_0^(W^alpha) g(s^(1/alpha)) ds
 
@@ -213,11 +219,13 @@ def _adaptive(fn: Callable[[float], float], lo: float, hi: float,
     return value
 
 
-def _power_kernel_integral(g: Callable[[float], float], width: float, alpha: float,
-                           settings: QuadratureSettings,
+def _power_kernel_integral(h: Callable[[float], float], origin: float, direction: int,
+                           width: float, alpha: float, settings: QuadratureSettings,
                            kinks: Sequence[float] = ()) -> float:
-    """integral_0^width u^(alpha-1) g(u) du for bounded g.
+    """integral_0^width u^(alpha-1) g(u) du for bounded g(u) = h(origin + direction * u).
 
+    `direction` is +1 or -1; the integrand adds or subtracts u rather than
+    multiplying by the sign, so g(u) has the bits of h(origin +- u).
     `kinks` are u-locations where g has corners.
     """
     if width < 0.0:
@@ -225,13 +233,21 @@ def _power_kernel_integral(g: Callable[[float], float], width: float, alpha: flo
     if width == 0.0:
         return 0.0
     if alpha >= 1.0:
-        return _adaptive(lambda u: u ** (alpha - 1.0) * g(u), 0.0, width, settings, kinks)
+        e = alpha - 1.0
+        if direction > 0:
+            kernel = lambda u: u ** e * h(origin + u)
+        else:
+            kernel = lambda u: u ** e * h(origin - u)
+        return _adaptive(kernel, 0.0, width, settings, kinks)
     # Singular kernel: substitute s = u^alpha.
     span = width ** alpha
     inv = 1.0 / alpha
     mapped = [k ** alpha for k in kinks if k > 0.0]
-    value = _adaptive(lambda s: g(s ** inv), 0.0, span, settings, mapped)
-    return value / alpha
+    if direction > 0:
+        kernel = lambda s: h(origin + s ** inv)
+    else:
+        kernel = lambda s: h(origin - s ** inv)
+    return _adaptive(kernel, 0.0, span, settings, mapped) / alpha
 
 
 def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
@@ -246,7 +262,7 @@ def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
     if not (a <= upper <= b):
         raise DomainError(f"upper={upper} outside [{a}, {b}]")
     moved = [k - a for k in kinks]
-    value = _power_kernel_integral(lambda u: f(a + u), upper - a, order.alpha, settings, moved)
+    value = _power_kernel_integral(f, a, 1, upper - a, order.alpha, settings, moved)
     return value / gamma_fn(order.alpha)
 
 
@@ -270,7 +286,7 @@ def rl_mid(f: Callable[[float], float], v1: float, v2: float, order: Order,
     if v1 > v2:
         raise DomainError(f"need v1 <= v2, got v1={v1}, v2={v2}")
     moved = [v2 - k for k in kinks]
-    value = _power_kernel_integral(lambda u: f(v2 - u), v2 - v1, order.alpha, settings, moved)
+    value = _power_kernel_integral(f, v2, -1, v2 - v1, order.alpha, settings, moved)
     return value / gamma_fn(order.alpha)
 
 
@@ -294,13 +310,16 @@ def abs_moment_quadrature(x: float, lower: float, upper: float, kernel_anchor: f
     if kernel_side == "left":
         if kernel_anchor != lower:
             raise DomainError(f"left kernel anchor must equal lower={lower}, got {kernel_anchor}")
-        g = lambda u: abs(x - lower - u)
+        # |x - t| at t = lower + u
+        origin, direction = x - lower, -1
         kink = x - lower
     elif kernel_side == "right":
         if kernel_anchor != upper:
             raise DomainError(f"right kernel anchor must equal upper={upper}, got {kernel_anchor}")
-        g = lambda u: abs(x - upper + u)
+        # |x - t| at t = upper - u
+        origin, direction = x - upper, 1
         kink = upper - x
     else:
         raise DomainError(f"kernel_side must be 'left' or 'right', got {kernel_side!r}")
-    return _power_kernel_integral(g, width, order.alpha, settings, (kink,))
+    return _power_kernel_integral(abs, origin, direction, width, order.alpha, settings,
+                                  (kink,))

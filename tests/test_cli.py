@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fracbound import __version__, engine
+from fracbound import __version__, cli, engine
 from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
                            cmd_verify_hadamard, main)
@@ -129,6 +129,42 @@ def test_check_identities_unit_order_residuals_tiny():
     rep = cmd_check_identities(RunConfig(trials=1, alpha_grid=(1.0,)))
     moments = [r for r in rep.records if r["kind"] == "moment"]
     assert max(r["residual"] for r in moments) <= 1e-12
+
+
+def test_check_identities_draws_each_sample_once_per_run(monkeypatch):
+    # A sample's stream does not depend on the order: one draw per
+    # (ordering case x k) serves every order of the grid.
+    per_case = 12
+    trials = []
+    trial_rng = cli._trial_rng
+
+    def counted(seed, trial):
+        trials.append(trial)
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(cli, "_trial_rng", counted)
+    reports = {}
+    for grid in ((2.0,), (0.5, 2.0), (0.5, 1.0, 1.5, 2.0)):
+        trials.clear()
+        reports[grid] = cmd_check_identities(RunConfig(alpha_grid=grid), per_case)
+        assert len(trials) == len(set(trials)) == 11 * per_case
+        assert reports[grid].aggregate["evaluations"] == 11 * per_case * len(grid)
+    at_2 = lambda rep: [r for r in rep.records if r["kind"] == "moment" and r["alpha"] == 2.0]
+    assert at_2(reports[(0.5, 2.0)]) == at_2(reports[(2.0,)])
+    assert len(at_2(reports[(2.0,)])) == (3 * 2 + 8 * 3) * per_case
+
+
+@pytest.mark.parametrize("interval", ["0,1e-12", "0,1e-200", "-3,-2.9999999999"])
+def test_check_identities_on_a_narrow_interval(interval, tmp_path, capsys):
+    # The continuity probes step 1e-9 of the width off each case boundary,
+    # so every probe node stays inside the interval whatever its width.
+    out = tmp_path / "identities.json"
+    argv = ["check-identities", f"--interval={interval}", "--alpha", "0.5",
+            "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    doc = json.loads(out.read_bytes())
+    assert doc["aggregate"]["continuity_breaches"] == 0
+    assert len([r for r in doc["records"] if r["kind"] == "continuity"]) == 6
 
 
 # ----------------------------------------------------------------------

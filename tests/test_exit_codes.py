@@ -1,7 +1,8 @@
 """The exit-code contract of the CLI as a property: whatever interval and
 order the parser accepts, a run ends with 0 (all checks pass), 1 (a
 violation or an oracle breach) or 2 (a configuration error), never with an
-exception."""
+exception.  check-identities has its own, smaller budget: a run checks
+about 500 samples whatever the interval."""
 
 import os
 
@@ -26,4 +27,16 @@ def test_exit_code_is_0_1_or_2(command, start, log_width, log_alpha, trials):
     alpha = min(10.0 ** log_alpha, 170.0)
     argv = command + [f"--interval={start!r},{end!r}", "--alpha", repr(alpha),
                       "--trials", str(trials), "--out", os.devnull]
+    assert main(argv) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(start=st.sampled_from(STARTS),
+       log_width=st.floats(-300.0, 300.0),
+       log_alpha=st.floats(-6.0, 2.230448921378274))
+def test_check_identities_exit_code_is_0_1_or_2(start, log_width, log_alpha):
+    end = start + 10.0 ** log_width
+    alpha = min(10.0 ** log_alpha, 170.0)
+    argv = ["check-identities", f"--interval={start!r},{end!r}", "--alpha", repr(alpha),
+            "--out", os.devnull]
     assert main(argv) in (0, 1, 2)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fracbound.corpus import exact_rl_left, exact_rl_mid, exact_rl_right, random_lipschitz, tent
 from fracbound.quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
@@ -258,3 +259,90 @@ def test_general_interval_and_high_order():
         got = rl_left(f, itv, order, 2.0, kinks=f.breakpoints)
         want = exact_rl_left(f, order, 2.0)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# The integrand handed to QUADPACK, pinned bit for bit
+# ----------------------------------------------------------------------
+
+WIDE = Interval(-3.0, 5.0)
+WITNESS = random_lipschitz(33, WIDE).function  # interior kinks near -0.97, 0.55, 1.55, 1.71, 4.26
+
+
+def _nested_lambda_reference(g, width, alpha, kinks, gamma=1.0):
+    """(value, points, neval) of the integrand as first written: QUADPACK
+    calls a kernel lambda, which calls the nested g lambda."""
+    settings = DEFAULT_SETTINGS
+    if alpha >= 1.0:
+        fn, hi, points = (lambda u: u ** (alpha - 1.0) * g(u)), width, kinks
+    else:
+        inv = 1.0 / alpha
+        fn, hi = (lambda s: g(s ** inv)), width ** alpha
+        points = [k ** alpha for k in kinks if k > 0.0]
+    pts = sorted(p for p in points if 0.0 < p < hi) or None
+    value, _, info = integrate.quad(fn, 0.0, hi, epsabs=settings.abs_tol,
+                                    epsrel=settings.rel_tol, limit=settings.max_subdivisions,
+                                    points=pts, full_output=1)[:3]
+    if alpha < 1.0:
+        value = value / alpha
+    return value / gamma, pts, info["neval"]
+
+
+def _rl_left_case(upper):
+    f, a, kinks = WITNESS, WIDE.a, WITNESS.breakpoints
+    return (lambda order: rl_left(f, WIDE, order, upper, kinks=kinks),
+            lambda alpha: _nested_lambda_reference(lambda u: f(a + u), upper - a, alpha,
+                                                   [k - a for k in kinks], gamma_fn(alpha)))
+
+
+def _rl_mid_case(v1, v2):
+    f, kinks = WITNESS, WITNESS.breakpoints
+    return (lambda order: rl_mid(f, v1, v2, order, kinks=kinks),
+            lambda alpha: _nested_lambda_reference(lambda u: f(v2 - u), v2 - v1, alpha,
+                                                   [v2 - k for k in kinks], gamma_fn(alpha)))
+
+
+def _abs_left_case(x, lower, upper):
+    return (lambda order: abs_moment_quadrature(x, lower, upper, lower, "left", order),
+            lambda alpha: _nested_lambda_reference(lambda u: abs(x - lower - u),
+                                                   upper - lower, alpha, (x - lower,)))
+
+
+def _abs_right_case(x, lower, upper):
+    return (lambda order: abs_moment_quadrature(x, lower, upper, upper, "right", order),
+            lambda alpha: _nested_lambda_reference(lambda u: abs(x - upper + u),
+                                                   upper - lower, alpha, (upper - x,)))
+
+
+FLAT_CASES = {
+    "rl_left-kinks-inside": _rl_left_case(2.0),
+    "rl_left-kinks-outside": _rl_left_case(-1.5),
+    "rl_mid-kinks-inside": _rl_mid_case(-1.0, 4.5),
+    "rl_mid-kinks-outside": _rl_mid_case(1.6, 1.7),
+    "abs-left-kink-inside": _abs_left_case(0.3, -1.0, 2.0),
+    "abs-left-kink-outside": _abs_left_case(3.0, -1.0, 2.0),
+    "abs-right-kink-inside": _abs_right_case(0.3, -1.0, 2.0),
+    "abs-right-kink-outside": _abs_right_case(3.0, -1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 3.5])
+@pytest.mark.parametrize("case", sorted(FLAT_CASES))
+def test_flat_integrand_equals_nested_lambda_reference(case, alpha, monkeypatch):
+    # One closure h(origin +- u) per integrand: the same value bits, the
+    # same breakpoints and the same QUADPACK work as the nested lambdas.
+    # A kink inside the panel runs QUADPACK's qagpe, none inside runs qagse.
+    compute, reference = FLAT_CASES[case]
+    want, want_points, want_neval = reference(alpha)
+    assert (want_points is None) == case.endswith("outside")
+    calls = []
+    quad = integrate.quad
+
+    def recording_quad(*args, **kwargs):
+        result = quad(*args, **kwargs)
+        calls.append((kwargs["points"], result[2]["neval"]))
+        return result
+
+    monkeypatch.setattr(integrate, "quad", recording_quad)
+    assert compute(Order(alpha)) == want
+    assert calls == [(want_points, want_neval)]
