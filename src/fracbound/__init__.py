@@ -16,11 +16,10 @@ from .bounds import (BoundBreakdown, BullenConfig, HadamardConfig,
 from .corpus import (LipschitzWitness, PiecewiseLinearFunction, exact_rl_left,
                      exact_rl_mid, exact_rl_right, from_text, lipschitz_constant,
                      random_lipschitz, tent, to_text)
-from .engine import (CorollaryFinding, CorollaryParams, ErratumEntry, GapResult,
-                     bullen_bound, bullen_gap, config_gap, corollary_suite,
-                     hadamard_bound, hadamard_gap, verify)
-from .quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
-                         QuadratureSettings, QuadratureToleranceError,
+from .engine import (CorollaryFinding, ErratumEntry, GapResult, bullen_bound,
+                     bullen_gap, config_gap, corollary_suite, hadamard_bound,
+                     hadamard_gap, verify)
+from .quadrature import (DomainError, Interval, Order, QuadratureToleranceError,
                          abs_moment_quadrature, gamma_fn, rl_left, rl_mid,
                          rl_right)
 
@@ -28,8 +27,6 @@ __all__ = [
     "BoundBreakdown",
     "BullenConfig",
     "CorollaryFinding",
-    "CorollaryParams",
-    "DEFAULT_SETTINGS",
     "DomainError",
     "ErratumEntry",
     "GapResult",
@@ -40,7 +37,6 @@ __all__ = [
     "Order",
     "PanelConfig",
     "PiecewiseLinearFunction",
-    "QuadratureSettings",
     "QuadratureToleranceError",
     "abs_moment_closed",
     "abs_moment_quadrature",

@@ -30,7 +30,13 @@ verify trial runs through ``config_gap`` on that record's row; an oracle
 check whose quadrature does not converge counts as a residual breach,
 and the number of such checks is named on stderr.  check-identities
 draws its samples once per run (a sample's stream does not depend on the
-order) and checks each one at every order of the grid.
+order) and checks each one at every order of the grid; its continuity
+probes run through one ``PanelConfigs`` and ``v_panels`` pass per node
+count, covering every order.
+
+Fixed parameters: witness slopes are bounded by M_MAX, the sweep grids
+are SWEEP_LAMBDAS, SWEEP_DELTAS and SWEEP_ETAS, and check-identities
+draws enough samples per ordering case for at least 500 in all.
 
 Determinism: every random draw comes from numpy PCG64 seeded through
 SeedSequence(entropy=seed, spawn_key=(trial,)), one splittable stream per
@@ -39,10 +45,11 @@ serialize with fixed key order and round-trip-exact float text; identical
 run configurations produce byte-identical files.  Wall-clock duration is
 echoed to stderr only, never into the report bytes.
 
-Exit codes: 0 all checks pass, 1 mathematical violation or residual
-breach, 2 I/O or configuration error (including an interval too narrow
-for a witness and an order at which a power of the interval width
-overflows or underflows binary64).
+Exit codes: 0 all checks pass, 1 a violation or an oracle residual
+breach in any command (audit-corollaries records shortcut mismatches as
+ledger data, never as violations), 2 I/O or configuration error
+(including an interval too narrow for a witness and an order at which a
+power of the interval width overflows or underflows binary64).
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__, bounds, corpus, engine
-from .bounds import BullenConfig, HadamardConfig, abs_moment_closed
+from .bounds import abs_moment_closed
 from .quadrature import (DomainError, Interval, Order, QuadratureToleranceError,
                          abs_moment_quadrature)
 
@@ -79,6 +86,8 @@ CONTINUITY_LIMIT = 1e-6
 # Every Nth trial is re-evaluated through the quadrature path to measure
 # the oracle residual without letting quadrature dominate the runtime.
 ORACLE_CHECK_STRIDE = 10
+# Bound on the slopes of the random witnesses.
+M_MAX = 2.0
 
 SWEEP_LAMBDAS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 SWEEP_DELTAS = (0.5, 0.625, 0.75, 0.875, 1.0)
@@ -87,11 +96,7 @@ SWEEP_ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Harness run parameters.
-
-    ``m_max`` bounds the witness slopes and is API-level only (no CLI
-    flag); it exists so constant-witness runs (m_max = 0) are expressible.
-    """
+    """Harness run parameters."""
 
     seed: int = 42
     trials: int = 1000
@@ -99,7 +104,6 @@ class RunConfig:
     interval: Interval = field(default_factory=lambda: Interval(0.0, 1.0))
     output_path: str | None = None
     fmt: str = "json"
-    m_max: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
@@ -111,8 +115,6 @@ class RunConfig:
             Order(a)
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be 'json' or 'csv', got {self.fmt!r}")
-        if self.m_max < 0.0:
-            raise DomainError(f"m_max must be >= 0, got {self.m_max}")
 
 
 def _f17(value) -> str:
@@ -198,7 +200,7 @@ class VerificationReport:
                 "alpha_grid": list(self.run.alpha_grid),
                 "interval": [self.run.interval.a, self.run.interval.b],
                 "format": self.run.fmt,
-                "m_max": self.run.m_max,
+                "m_max": M_MAX,
             },
         }
 
@@ -298,7 +300,7 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
         seeds.append(int(rng.integers(0, 2 ** 63)))
         weights[trial] = _draw_weights(rng, k)
         nodes[trial] = np.sort(rng.uniform(a, b, k))
-    witnesses = corpus.random_lipschitz_arrays(seeds, run.interval, m_max=run.m_max)
+    witnesses = corpus.random_lipschitz_arrays(seeds, run.interval, m_max=M_MAX)
 
     # Records run trial-major: row = trial * len(grid) + grid index.
     rows = np.repeat(np.arange(trials), len(grid))
@@ -419,62 +421,71 @@ def _panel_moments(nodes: tuple, edges: tuple, order: Order) -> list:
     the left kernel on the first panel, the right kernel on the others."""
     x, a, v = nodes[0], edges[0], edges[1]
     moments = [("left", abs_moment_closed(-x, -v, -a, order),
-                abs_moment_quadrature(x, a, v, a, "left", order))]
+                abs_moment_quadrature(x, a, v, "left", order))]
     for p in range(1, len(nodes)):
         y, lo, hi = nodes[p], edges[p], edges[p + 1]
         moments.append(("right" if p == len(nodes) - 1 else "mid",
                         abs_moment_closed(y, lo, hi, order),
-                        abs_moment_quadrature(y, lo, hi, hi, "right", order)))
+                        abs_moment_quadrature(y, lo, hi, "right", order)))
     return moments
 
 
-def _continuity_probes(run: RunConfig, alpha: float, eps: float):
-    """Yield (boundary_tag, value_below, value_above) for each case split."""
-    itv = run.interval
-    a, b = itv.a, itv.b
+def _continuity_probes(interval: Interval, grid: tuple, eps: float):
+    """Yield (alpha, boundary_tag, value_below, value_above) for each case
+    split at every order of the grid, alpha-major.  The probes of each node
+    count go through one batched k-panel pass covering every order."""
+    a, b = interval.a, interval.b
     span = b - a
-    order = Order(alpha)
-
-    def had(lam, x, y):
-        return bounds.v_hadamard(HadamardConfig(itv, order, lam, x, y)).total
-
-    def bul(lam, eta, x, y, z):
-        return bounds.v_bullen(
-            BullenConfig(itv, order, lam, eta, 1.0 - lam - eta, x, y, z)).total
-
+    # (tag, weights, nodes below, nodes above) of each probe
     lam = 0.4
     v = a + lam * span
-    yield "two_node_x_at_V", had(lam, v - eps, a + 0.8 * span), had(lam, v + eps, a + 0.8 * span)
+    probes = [("two_node_x_at_V", (lam, 1.0 - lam), (v - eps, a + 0.8 * span),
+               (v + eps, a + 0.8 * span))]
     lam = 0.6
     v = a + lam * span
-    yield "two_node_y_at_V", had(lam, a + 0.2 * span, v - eps), had(lam, a + 0.2 * span, v + eps)
+    probes.append(("two_node_y_at_V", (lam, 1.0 - lam), (a + 0.2 * span, v - eps),
+                   (a + 0.2 * span, v + eps)))
 
     lam, eta = 0.3, 0.4
+    weights = (lam, eta, 1.0 - lam - eta)
     v1 = a + lam * span
     v2 = a + (lam + eta) * span
     ymid = (v1 + v2) / 2.0
     zmid = (v2 + b) / 2.0
     xlow = a + 0.1 * span
-    yield "three_node_x_at_V1", bul(lam, eta, v1 - eps, ymid, zmid), bul(lam, eta, v1 + eps, ymid, zmid)
-    yield "three_node_y_at_V1", bul(lam, eta, xlow, v1 - eps, zmid), bul(lam, eta, xlow, v1 + eps, zmid)
-    yield "three_node_y_at_V2", bul(lam, eta, xlow, v2 - eps, zmid), bul(lam, eta, xlow, v2 + eps, zmid)
-    yield "three_node_z_at_V2", bul(lam, eta, xlow, ymid, v2 - eps), bul(lam, eta, xlow, ymid, v2 + eps)
+    probes += [
+        ("three_node_x_at_V1", weights, (v1 - eps, ymid, zmid), (v1 + eps, ymid, zmid)),
+        ("three_node_y_at_V1", weights, (xlow, v1 - eps, zmid), (xlow, v1 + eps, zmid)),
+        ("three_node_y_at_V2", weights, (xlow, v2 - eps, zmid), (xlow, v2 + eps, zmid)),
+        ("three_node_z_at_V2", weights, (xlow, ymid, v2 - eps), (xlow, ymid, v2 + eps)),
+    ]
+
+    # (alpha, tag, weights, nodes) rows, the value below then the one above
+    rows = [(alpha, tag, weights, nodes) for alpha in grid
+            for tag, weights, below, above in probes for nodes in (below, above)]
+    values = [0.0] * len(rows)
+    for k in (2, 3):
+        index = [i for i, row in enumerate(rows) if len(row[2]) == k]
+        alpha, _, weights, nodes = zip(*(rows[i] for i in index))
+        totals = bounds.v_panels(bounds.PanelConfigs(interval, alpha, weights, nodes))
+        for i, total in zip(index, totals.tolist()):
+            values[i] = total
+    for i in range(0, len(rows), 2):
+        yield rows[i][0], rows[i][1], values[i], values[i + 1]
 
 
-def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> VerificationReport:
+def cmd_check_identities(run: RunConfig) -> VerificationReport:
     """Validate every closed-form panel moment against the quadrature oracle.
 
-    Samples per_case configurations for each of the 3 two-node and 8
-    three-node orderings at every grid order; per_case defaults to
-    whatever brings the total to at least 500 samples.  Each sample is
-    drawn once per run, from a stream that does not depend on the order,
-    and checked at every order.  Reports the worst relative residual and
-    probes value continuity across each case boundary at +-1e-9 (b - a)
-    offsets.
+    Samples the same number of configurations for each of the 3 two-node
+    and 8 three-node orderings, enough for at least 500 samples in all at
+    every grid order.  Each sample is drawn once per run, from a stream
+    that does not depend on the order, and checked at every order.
+    Reports the worst relative residual and probes value continuity across
+    each case boundary at +-1e-9 (b - a) offsets.
     """
     t0 = time.perf_counter()
-    if per_case is None:
-        per_case = max(12, -(-500 // (11 * len(run.alpha_grid))))
+    per_case = max(12, -(-500 // (11 * len(run.alpha_grid))))
     a, b = run.interval.a, run.interval.b
     records = []
     max_resid = 0.0
@@ -501,18 +512,17 @@ def cmd_check_identities(run: RunConfig, per_case: int | None = None) -> Verific
                                 "panel": panel, "closed": closed, "quad": quad,
                                 "residual": resid})
 
-    eps = 1e-9 * (b - a)
     max_delta = 0.0
     continuity_breaches = 0
-    for alpha in run.alpha_grid:
-        for tag, below, above in _continuity_probes(run, alpha, eps):
-            delta = abs(above - below)
-            limit = CONTINUITY_LIMIT * (1.0 + max(abs(below), abs(above)))
-            normalized = delta / (1.0 + max(abs(below), abs(above)))
-            max_delta = max(max_delta, normalized)
-            continuity_breaches += delta > limit
-            records.append({"kind": "continuity", "case": tag, "alpha": alpha,
-                            "closed": below, "quad": above, "residual": normalized})
+    for alpha, tag, below, above in _continuity_probes(run.interval, run.alpha_grid,
+                                                       1e-9 * (b - a)):
+        delta = abs(above - below)
+        limit = CONTINUITY_LIMIT * (1.0 + max(abs(below), abs(above)))
+        normalized = delta / (1.0 + max(abs(below), abs(above)))
+        max_delta = max(max_delta, normalized)
+        continuity_breaches += delta > limit
+        records.append({"kind": "continuity", "case": tag, "alpha": alpha,
+                        "closed": below, "quad": above, "residual": normalized})
 
     aggregate = {
         "evaluations": len(drawn) * len(run.alpha_grid),
@@ -542,16 +552,15 @@ def cmd_audit_corollaries(run: RunConfig) -> VerificationReport:
 
     Coefficient audits run on the canonical interval [0, 1] (scale
     covariance extends them); mismatches are data, not failures, so the
-    exit status is 0 regardless of ledger contents.
+    report counts no violations whatever the ledger holds.
     """
     t0 = time.perf_counter()
     canonical = Interval(0.0, 1.0)
     records = []
     worst: dict = {}
-    params = engine.CorollaryParams(
-        witness_seeds=tuple(run.seed + k for k in (1, 2, 3)))
+    seeds = tuple(run.seed + k for k in (1, 2, 3))
     for alpha in run.alpha_grid:
-        findings = engine.corollary_suite(canonical, Order(alpha), params)
+        findings = engine.corollary_suite(canonical, Order(alpha), seeds)
         for finding in findings:
             records.append(finding.as_record())
             if finding.erratum is not None:
@@ -596,9 +605,8 @@ def cmd_audit_corollaries(run: RunConfig) -> VerificationReport:
 # sweep
 # --------------------------------------------------------------------------
 
-def cmd_sweep(run: RunConfig, functional: str, witness_path: str | None = None,
-              lambdas: tuple = SWEEP_LAMBDAS, deltas: tuple = SWEEP_DELTAS,
-              etas: tuple = SWEEP_ETAS) -> VerificationReport:
+def cmd_sweep(run: RunConfig, functional: str,
+              witness_path: str | None = None) -> VerificationReport:
     """Emit (alpha, lam[, eta], delta, gap, bound, ratio) rows for plotting.
 
     The witness is loaded from the two-column text format when a path is
@@ -615,14 +623,14 @@ def cmd_sweep(run: RunConfig, functional: str, witness_path: str | None = None,
         names, k = ("lam", "delta"), 2
         points = [((lam, delta), (lam, 1.0 - lam),
                    (delta * a + (1.0 - delta) * b, (1.0 - delta) * a + delta * b))
-                  for lam in lambdas for delta in deltas]
+                  for lam in SWEEP_LAMBDAS for delta in SWEEP_DELTAS]
     elif functional == "bullen":
         names, k = ("lam", "eta", "delta"), 3
         points = [((lam, eta, delta), (lam, eta, 1.0 - lam - eta),
                    (delta * a + (1.0 - delta) * b, (a + b) / 2.0,
                     (1.0 - delta) * a + delta * b))
-                  for lam in lambdas for eta in etas if not lam + eta > 1.0
-                  for delta in deltas]
+                  for lam in SWEEP_LAMBDAS for eta in SWEEP_ETAS if not lam + eta > 1.0
+                  for delta in SWEEP_DELTAS]
     else:
         raise DomainError(f"functional must be 'hadamard' or 'bullen', got {functional!r}")
     if witness_path is not None:
@@ -700,14 +708,7 @@ def _run_config(args) -> RunConfig:
 
 
 def _exit_code(report: VerificationReport) -> int:
-    agg = report.aggregate
-    if report.command in ("verify-hadamard", "verify-bullen"):
-        bad = agg["violations"] or agg["oracle_residual_breaches"]
-    elif report.command == "check-identities":
-        bad = agg["residual_breaches"] or agg["continuity_breaches"]
-    else:
-        bad = 0
-    return 1 if bad else 0
+    return 1 if report.violations or report.aggregate.get("oracle_residual_breaches") else 0
 
 
 def main(argv=None) -> int:

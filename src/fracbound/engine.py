@@ -7,16 +7,18 @@ scaled sum of fractional integrals.  The "bound" is the closed-form
 right-hand side, alpha * M * coefficient / (b-a)^alpha.  For
 piecewise-linear witnesses the fractional terms are computed with the
 exact corpus integrators (method "oracle"); a quadrature path through
-:mod:`fracbound.quadrature` exists for cross-checking.
+:mod:`fracbound.quadrature` (method "quadrature") cross-checks them.
 
 Adjudication uses an absolute-plus-relative slack, 1e-9 * (1 + bound), so
 zero-bound cases (constant witnesses) pass without division hazards.
 
 ``corollary_suite`` measures every shortcut (corollary-form) coefficient
-against the oracle-validated assembled bound.  Deviations above 1e-8 are
-recorded as :class:`ErratumEntry` data, never silently corrected, and a
-deviating shortcut value is never used to fail a witness: the assembled
-bound is ground truth.
+against the oracle-validated assembled bound, over the fixed parameter
+grids AUDIT_LAMBDAS, AUDIT_DELTAS, AUDIT_NODE_DELTAS, AUDIT_SIMPLEX and
+AUDIT_THETAS, so the audit output is reproducible byte for byte.
+Deviations above 1e-8 are recorded as :class:`ErratumEntry` data, never
+silently corrected, and a deviating shortcut value is never used to fail
+a witness: the assembled bound is ground truth.
 
 The batched k-panel evaluator (``panel_gap``, ``panel_bound``,
 ``verify_panels``) serves the verify commands, ``sweep`` and the corollary
@@ -36,12 +38,10 @@ import numpy as np
 
 from . import bounds, corpus, quadrature
 from .bounds import BullenConfig, HadamardConfig, PanelConfig, PanelConfigs, _pw
-from .quadrature import (DEFAULT_SETTINGS, DomainError, Interval, Order,
-                         QuadratureSettings, gamma_fn, per_order)
+from .quadrature import DomainError, Interval, Order, gamma_fn, per_order
 
 __all__ = [
     "CorollaryFinding",
-    "CorollaryParams",
     "ErratumEntry",
     "GapResult",
     "bullen_bound",
@@ -59,6 +59,14 @@ __all__ = [
 SLACK_COEFF = 1e-9
 ERRATUM_THRESHOLD = 1e-8
 
+# Parameter grids of the corollary audit.  AUDIT_SIMPLEX holds the
+# (lam, eta) pairs with lam + eta <= 1 in steps of 1/4.
+AUDIT_LAMBDAS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
+AUDIT_DELTAS = (0.5, 0.625, 0.75, 0.875, 1.0)
+AUDIT_NODE_DELTAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+AUDIT_SIMPLEX = tuple((i / 4, j / 4) for i in range(5) for j in range(5 - i))
+AUDIT_THETAS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
+
 
 @dataclass(frozen=True)
 class GapResult:
@@ -67,7 +75,6 @@ class GapResult:
     gap: float
     bound: float
     ratio: float
-    method: str
     passed: bool
 
 
@@ -98,7 +105,7 @@ class ErratumEntry:
         }
 
 
-def verify(gap: float, bound: float, method: str = "oracle") -> GapResult:
+def verify(gap: float, bound: float) -> GapResult:
     """Adjudicate gap <= bound + slack with slack = 1e-9 * (1 + bound)."""
     if gap < 0.0 or bound < 0.0:
         raise DomainError(f"gap and bound must be nonnegative, got {gap}, {bound}")
@@ -108,12 +115,11 @@ def verify(gap: float, bound: float, method: str = "oracle") -> GapResult:
         ratio = gap / bound
     else:
         ratio = 0.0 if gap <= slack else math.inf
-    return GapResult(gap, bound, ratio, method, passed)
+    return GapResult(gap, bound, ratio, passed)
 
 
 def config_gap(config: PanelConfig, witness: corpus.LipschitzWitness,
-               method: str = "oracle",
-               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+               method: str = "oracle") -> float:
     """| sum_p w_p^a f(x_p) - Gamma(a+1)/(b-a)^a * sum_p (panel integral p) |
 
     over the k panels of one configuration: the left-kernel integral over
@@ -138,10 +144,10 @@ def config_gap(config: PanelConfig, witness: corpus.LipschitzWitness,
         for p in range(1, len(nodes)):
             integrals += corpus.exact_rl_mid(f, edges[p], edges[p + 1], order)
     elif method == "quadrature":
-        integrals = quadrature.rl_left(f, config.interval, order, edges[1], settings,
+        integrals = quadrature.rl_left(f, config.interval, order, edges[1],
                                        kinks=f.breakpoints)
         for p in range(1, len(nodes)):
-            integrals += quadrature.rl_mid(f, edges[p], edges[p + 1], order, settings,
+            integrals += quadrature.rl_mid(f, edges[p], edges[p + 1], order,
                                            kinks=f.breakpoints)
     else:
         raise DomainError(f"method must be 'oracle' or 'quadrature', got {method!r}")
@@ -150,18 +156,16 @@ def config_gap(config: PanelConfig, witness: corpus.LipschitzWitness,
 
 
 def hadamard_gap(config: HadamardConfig, witness: corpus.LipschitzWitness,
-                 method: str = "oracle",
-                 settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+                 method: str = "oracle") -> float:
     """:func:`config_gap` of the two-node inequality, panels [a, V] and [V, b]."""
-    return config_gap(config.panels, witness, method, settings)
+    return config_gap(config.panels, witness, method)
 
 
 def bullen_gap(config: BullenConfig, witness: corpus.LipschitzWitness,
-               method: str = "oracle",
-               settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+               method: str = "oracle") -> float:
     """:func:`config_gap` of the three-node inequality, panels [a, V1],
     [V1, V2] and [V2, b]."""
-    return config_gap(config.panels, witness, method, settings)
+    return config_gap(config.panels, witness, method)
 
 
 def _bound(config, m: float, coefficient) -> float:
@@ -239,38 +243,11 @@ def verify_panels(gap: np.ndarray, bound: np.ndarray):
 # Corollary audit suite
 # ---------------------------------------------------------------------------
 
-def _simplex_grid(step: float = 0.25) -> tuple:
-    pairs = []
-    n = round(1.0 / step)
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            pairs.append((i * step, j * step))
-    return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class CorollaryParams:
-    """Deterministic parameter grids for the corollary audit.
-
-    All grids are fixed constants so the audit output is reproducible
-    byte for byte.
-    """
-
-    lambdas: tuple = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
-    deltas: tuple = (0.5, 0.625, 0.75, 0.875, 1.0)
-    node_deltas: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    simplex: tuple = _simplex_grid()
-    thetas: tuple = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0)
-    witness_seeds: tuple = (101, 202, 303)
-
-
 @dataclass(frozen=True)
 class CorollaryFinding:
     """One audited corollary instance: the shortcut bound, the assembled
     oracle bound, their deviation, the worst witness adjudication, and an
     erratum entry when the deviation is genuine.
-
-    Iterating a finding yields the (gap_result, erratum) pair.
     """
 
     formula_id: str
@@ -280,10 +257,6 @@ class CorollaryFinding:
     deviation: float
     gap_result: GapResult
     erratum: ErratumEntry | None
-
-    def __iter__(self):
-        yield self.gap_result
-        yield self.erratum
 
     def as_record(self) -> dict:
         rec = {"formula_id": self.formula_id}
@@ -312,49 +285,48 @@ class _Instance(NamedTuple):
     scale: float = 1.0
 
 
-def _instances(interval: Interval, order: Order, params: CorollaryParams):
+def _instances(interval: Interval, order: Order):
     """Every audited instance at one order, in report order."""
     a, b = interval.a, interval.b
     width = interval.width
     alpha = order.alpha
 
     # Symmetric two-node coefficient (three cases in lam).
-    for lam in params.lambdas:
-        for delta in params.deltas:
+    for lam in AUDIT_LAMBDAS:
+        for delta in AUDIT_DELTAS:
             yield _Instance("symmetric_pair_coeff", (("lam", lam), ("delta", delta)),
                             bounds.l_coeff(order, lam, delta) * width / (alpha + 1.0),
                             (lam, 1.0 - lam),
                             (delta * a + (1.0 - delta) * b, (1.0 - delta) * a + delta * b))
 
     # Coincident nodes x = y = V.
-    for lam in params.lambdas:
+    for lam in AUDIT_LAMBDAS:
         v = (1.0 - lam) * a + lam * b
         printed = (_pw(v - a, alpha + 1.0) + _pw(b - v, alpha + 1.0)) / ((alpha + 1.0) * width ** alpha)
         yield _Instance("coincident_node_bound", (("lam", lam),), printed, (lam, 1.0 - lam), (v, v))
 
     # Endpoint nodes x = a, y = b (delta = 1 specialization).
-    for lam in params.lambdas:
+    for lam in AUDIT_LAMBDAS:
         printed = alpha * width * (_pw(lam, alpha + 1.0) + _pw(1.0 - lam, alpha + 1.0)) / (alpha + 1.0)
         yield _Instance("endpoint_pair_bound", (("lam", lam),), printed, (lam, 1.0 - lam), (a, b))
 
     # Single shifted node x = y = dn*a + (1-dn)*b with free lam.
-    for lam in params.lambdas:
-        for dn in params.node_deltas:
+    for lam in AUDIT_LAMBDAS:
+        for dn in AUDIT_NODE_DELTAS:
             node = dn * a + (1.0 - dn) * b
             printed = width * (_pw(dn, alpha + 1.0) + _pw(1.0 - dn, alpha + 1.0)) / (alpha + 1.0)
             yield _Instance("shifted_single_node_bound", (("lam", lam), ("node_delta", dn)),
                             printed, (lam, 1.0 - lam), (node, node))
 
     # Quarter-node pair: lam = 1/2, delta = 3/4, sides scaled by 2^(alpha-1).
-    if params.deltas:
-        printed = width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0)) / (2.0 ** (alpha + 1.0) * (alpha + 1.0))
-        yield _Instance("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)), printed,
-                        (0.5, 0.5), ((3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0),
-                        2.0 ** (alpha - 1.0))
+    printed = width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0)) / (2.0 ** (alpha + 1.0) * (alpha + 1.0))
+    yield _Instance("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)), printed,
+                    (0.5, 0.5), ((3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0),
+                    2.0 ** (alpha - 1.0))
 
     # Three-node midpoint coefficient (eight orderings).
-    for lam, eta in params.simplex:
-        for delta in params.deltas:
+    for lam, eta in AUDIT_SIMPLEX:
+        for delta in AUDIT_DELTAS:
             case = bounds.n_case_index(lam, eta, delta)
             yield _Instance(f"midpoint_triple_coeff_case{case}",
                             (("lam", lam), ("eta", eta), ("delta", delta)),
@@ -364,22 +336,21 @@ def _instances(interval: Interval, order: Order, params: CorollaryParams):
                              (1.0 - delta) * a + delta * b))
 
     # Theta-weighted endpoint/midpoint bracket.
-    for theta in params.thetas:
+    for theta in AUDIT_THETAS:
         yield _Instance("theta_weighted_triple_bound", (("theta", theta),),
                         bounds.weighted_bullen_coeff(order, theta) * width / (alpha + 1.0),
                         (theta / 2.0, 1.0 - theta, theta / 2.0), (a, (a + b) / 2.0, b))
 
     # Shortcut forms of the theta = 1/2 and theta = 1/3 instances; sides
     # carry the scale that matches their fractional-integral terms.
-    if params.thetas:
-        for formula_id, theta, coeff, scale in (
-                ("bullen_theta_half_bound", 0.5, bounds.bullen_remark_coeff(alpha),
-                 2.0 ** (alpha - 1.0)),
-                ("simpson_theta_third_bound", 1.0 / 3.0, bounds.simpson_remark_coeff(alpha),
-                 6.0 ** (alpha - 1.0))):
-            yield _Instance(formula_id, (("theta", theta),), coeff * width,
-                            (theta / 2.0, 1.0 - theta, theta / 2.0), (a, (a + b) / 2.0, b),
-                            scale)
+    for formula_id, theta, coeff, scale in (
+            ("bullen_theta_half_bound", 0.5, bounds.bullen_remark_coeff(alpha),
+             2.0 ** (alpha - 1.0)),
+            ("simpson_theta_third_bound", 1.0 / 3.0, bounds.simpson_remark_coeff(alpha),
+             6.0 ** (alpha - 1.0))):
+        yield _Instance(formula_id, (("theta", theta),), coeff * width,
+                        (theta / 2.0, 1.0 - theta, theta / 2.0), (a, (a + b) / 2.0, b),
+                        scale)
 
 
 @lru_cache(maxsize=8)
@@ -426,13 +397,14 @@ def _audit_panels(interval: Interval, alpha: float, group: list,
 
 
 def corollary_suite(interval: Interval, order: Order,
-                    params: CorollaryParams | None = None) -> list:
+                    witness_seeds: tuple = (101, 202, 303)) -> list:
     """Audit every shortcut coefficient family at one order.
 
-    For each instance: (i) evaluate the shortcut (printed-form) bound,
-    (ii) evaluate the assembled bound with the same substituted nodes,
-    (iii) run the gap test with seeded random witnesses against the
-    smaller of the two when they agree, else against the assembled bound.
+    For each instance of the audit grids: (i) evaluate the shortcut
+    (printed-form) bound, (ii) evaluate the assembled bound with the same
+    substituted nodes, (iii) run the gap test with random witnesses, one
+    per seed of ``witness_seeds``, against the smaller of the two when
+    they agree, else against the assembled bound.
     Deviations above 1e-8 become erratum entries.  Coefficient audits are
     canonical on [0, 1]; scale covariance extends them to general
     intervals.
@@ -446,13 +418,11 @@ def corollary_suite(interval: Interval, order: Order,
     Returns a list of :class:`CorollaryFinding`, deterministic in both
     content and order.
     """
-    if params is None:
-        params = CorollaryParams()
-    if not params.witness_seeds:
+    if not witness_seeds:
         raise DomainError("the corollary audit needs at least one witness seed")
     alpha = order.alpha
-    instances = list(_instances(interval, order, params))
-    witnesses = _audit_witnesses(params.witness_seeds, interval)
+    instances = list(_instances(interval, order))
+    witnesses = _audit_witnesses(witness_seeds, interval)
     by_nodes: dict = {}
     for i, inst in enumerate(instances):
         by_nodes.setdefault(len(inst.nodes), []).append(i)
@@ -467,6 +437,6 @@ def corollary_suite(interval: Interval, order: Order,
         erratum = (ErratumEntry(inst.formula_id, deviation, pt)
                    if deviation > ERRATUM_THRESHOLD else None)
         findings.append(CorollaryFinding(inst.formula_id, pt, inst.printed, oracle, deviation,
-                                         GapResult(gap, bound, ratio, "oracle", passed),
+                                         GapResult(gap, bound, ratio, passed),
                                          erratum))
     return findings

@@ -19,9 +19,11 @@ s = u^alpha removes it, turning the integral into
 
 with a bounded integrand.  For alpha >= 1 the raw integrand is already
 bounded and is integrated directly.  Either way the work is done by
-adaptive Gauss-Kronrod quadrature (QUADPACK via scipy).  Known kink
-locations of g (breakpoints of a piecewise-linear function, the corner of
-|x - t|) can be forwarded so subdivision starts on them.
+adaptive Gauss-Kronrod quadrature (QUADPACK via scipy), at the fixed
+tolerances ABS_TOL and REL_TOL (1e-11 each) within MAX_SUBDIVISIONS (200)
+subintervals.  Known kink locations of g (breakpoints of a
+piecewise-linear function, the corner of |x - t|) can be forwarded so
+subdivision starts on them.
 
 Everything in this module is a pure function of its arguments; there is no
 shared mutable state and concurrent use is safe.
@@ -40,11 +42,9 @@ from scipy import integrate
 __all__ = [
     "ALPHA_MAX",
     "ALPHA_MIN",
-    "DEFAULT_SETTINGS",
     "DomainError",
     "Interval",
     "Order",
-    "QuadratureSettings",
     "QuadratureToleranceError",
     "abs_moment_quadrature",
     "gamma_fn",
@@ -59,6 +59,10 @@ __all__ = [
 # numerically meaningless; orders above ALPHA_MAX overflow Gamma(alpha + 1).
 ALPHA_MIN = 1e-6
 ALPHA_MAX = 170.0
+# QUADPACK's requested absolute and relative errors and its subdivision limit.
+ABS_TOL = 1e-11
+REL_TOL = 1e-11
+MAX_SUBDIVISIONS = 200
 
 
 class DomainError(ValueError):
@@ -175,28 +179,8 @@ class Interval:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and subdivision budget for the adaptive integrator."""
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol >= 1e-14 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be >= 1e-14, got {self.abs_tol}")
-        if not (self.rel_tol >= 1e-14 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be >= 1e-14, got {self.rel_tol}")
-        if not (0 < self.max_subdivisions <= 10_000):
-            raise DomainError(f"max_subdivisions must be in (0, 10000], got {self.max_subdivisions}")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
-
-
 def _adaptive(fn: Callable[[float], float], lo: float, hi: float,
-              settings: QuadratureSettings, points: Sequence[float] = ()) -> float:
+              points: Sequence[float] = ()) -> float:
     """Adaptive Gauss-Kronrod integration of fn over [lo, hi].
 
     Raises QuadratureToleranceError when QUADPACK flags the result and the
@@ -207,21 +191,20 @@ def _adaptive(fn: Callable[[float], float], lo: float, hi: float,
     pts = sorted(p for p in points if lo < p < hi)
     result = integrate.quad(
         fn, lo, hi,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
+        epsabs=ABS_TOL,
+        epsrel=REL_TOL,
+        limit=MAX_SUBDIVISIONS,
         points=pts or None,
         full_output=1,
     )
     value, abserr = result[0], result[1]
-    if len(result) > 3 and abserr > max(settings.abs_tol, settings.rel_tol * abs(value)):
+    if len(result) > 3 and abserr > max(ABS_TOL, REL_TOL * abs(value)):
         raise QuadratureToleranceError(str(result[3]), value, abserr)
     return value
 
 
 def _power_kernel_integral(h: Callable[[float], float], origin: float, direction: int,
-                           width: float, alpha: float, settings: QuadratureSettings,
-                           kinks: Sequence[float] = ()) -> float:
+                           width: float, alpha: float, kinks: Sequence[float] = ()) -> float:
     """integral_0^width u^(alpha-1) g(u) du for bounded g(u) = h(origin + direction * u).
 
     `direction` is +1 or -1; the integrand adds or subtracts u rather than
@@ -238,7 +221,7 @@ def _power_kernel_integral(h: Callable[[float], float], origin: float, direction
             kernel = lambda u: u ** e * h(origin + u)
         else:
             kernel = lambda u: u ** e * h(origin - u)
-        return _adaptive(kernel, 0.0, width, settings, kinks)
+        return _adaptive(kernel, 0.0, width, kinks)
     # Singular kernel: substitute s = u^alpha.
     span = width ** alpha
     inv = 1.0 / alpha
@@ -247,12 +230,11 @@ def _power_kernel_integral(h: Callable[[float], float], origin: float, direction
         kernel = lambda s: h(origin + s ** inv)
     else:
         kernel = lambda s: h(origin - s ** inv)
-    return _adaptive(kernel, 0.0, span, settings, mapped) / alpha
+    return _adaptive(kernel, 0.0, span, mapped) / alpha
 
 
 def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
-            upper: float, settings: QuadratureSettings = DEFAULT_SETTINGS,
-            kinks: Sequence[float] = ()) -> float:
+            upper: float, kinks: Sequence[float] = ()) -> float:
     """Left-kernel fractional integral (1/Gamma(a)) int_a^upper (t-a)^(a-1) f(t) dt.
 
     The kernel singularity sits at the interval's left endpoint.  `kinks`
@@ -262,19 +244,17 @@ def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
     if not (a <= upper <= b):
         raise DomainError(f"upper={upper} outside [{a}, {b}]")
     moved = [k - a for k in kinks]
-    value = _power_kernel_integral(f, a, 1, upper - a, order.alpha, settings, moved)
+    value = _power_kernel_integral(f, a, 1, upper - a, order.alpha, moved)
     return value / gamma_fn(order.alpha)
 
 
 def rl_right(f: Callable[[float], float], interval: Interval, order: Order,
-             lower: float, settings: QuadratureSettings = DEFAULT_SETTINGS,
-             kinks: Sequence[float] = ()) -> float:
+             lower: float, kinks: Sequence[float] = ()) -> float:
     """(1/Gamma(a)) int_lower^b (b-t)^(a-1) f(t) dt: the last panel of :func:`rl_mid`."""
-    return rl_mid(f, lower, interval.b, order, settings, kinks)
+    return rl_mid(f, lower, interval.b, order, kinks)
 
 
 def rl_mid(f: Callable[[float], float], v1: float, v2: float, order: Order,
-           settings: QuadratureSettings = DEFAULT_SETTINGS,
            kinks: Sequence[float] = ()) -> float:
     """Right-kernel fractional integral over a sub-panel:
 
@@ -286,40 +266,33 @@ def rl_mid(f: Callable[[float], float], v1: float, v2: float, order: Order,
     if v1 > v2:
         raise DomainError(f"need v1 <= v2, got v1={v1}, v2={v2}")
     moved = [v2 - k for k in kinks]
-    value = _power_kernel_integral(f, v2, -1, v2 - v1, order.alpha, settings, moved)
+    value = _power_kernel_integral(f, v2, -1, v2 - v1, order.alpha, moved)
     return value / gamma_fn(order.alpha)
 
 
-def abs_moment_quadrature(x: float, lower: float, upper: float, kernel_anchor: float,
-                          kernel_side: str, order: Order,
-                          settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def abs_moment_quadrature(x: float, lower: float, upper: float, kernel_side: str,
+                          order: Order) -> float:
     """Quadrature oracle for weighted absolute moments (no Gamma division):
 
-        side="left":   int_lower^upper |x - t| (t - anchor)^(alpha-1) dt
-        side="right":  int_lower^upper |x - t| (anchor - t)^(alpha-1) dt
+        side="left":   int_lower^upper |x - t| (t - lower)^(alpha-1) dt
+        side="right":  int_lower^upper |x - t| (upper - t)^(alpha-1) dt
 
-    The anchor must coincide with the singular endpoint of the kernel
-    (lower for the left kernel, upper for the right one).  The |x - t|
-    corner is forwarded to the integrator as a breakpoint.  This routine
-    is intentionally independent of every closed-form moment expression in
+    Each kernel is anchored at its singular endpoint.  The |x - t| corner
+    is forwarded to the integrator as a breakpoint.  This routine is
+    intentionally independent of every closed-form moment expression in
     the package: it is the ground truth they are tested against.
     """
     if lower > upper:
         raise DomainError(f"need lower <= upper, got {lower} > {upper}")
     width = upper - lower
     if kernel_side == "left":
-        if kernel_anchor != lower:
-            raise DomainError(f"left kernel anchor must equal lower={lower}, got {kernel_anchor}")
         # |x - t| at t = lower + u
         origin, direction = x - lower, -1
         kink = x - lower
     elif kernel_side == "right":
-        if kernel_anchor != upper:
-            raise DomainError(f"right kernel anchor must equal upper={upper}, got {kernel_anchor}")
         # |x - t| at t = upper - u
         origin, direction = x - upper, 1
         kink = upper - x
     else:
         raise DomainError(f"kernel_side must be 'left' or 'right', got {kernel_side!r}")
-    return _power_kernel_integral(abs, origin, direction, width, order.alpha, settings,
-                                  (kink,))
+    return _power_kernel_integral(abs, origin, direction, width, order.alpha, (kink,))

@@ -259,40 +259,40 @@ def test_verify_panels_matches_verify_and_rejects_negatives():
 # the corollary audit against a scalar reference
 # ----------------------------------------------------------------------
 
-def reference_instances(itv: Interval, order: Order, params: engine.CorollaryParams):
+def reference_instances(itv: Interval, order: Order):
     """(formula_id, params, printed, scalar config, side scale) of every
     audited instance, in report order, through the scalar configs."""
     a, b, width, alpha = itv.a, itv.b, itv.width, order.alpha
     pw = bounds._pw
-    for lam in params.lambdas:
-        for delta in params.deltas:
+    lambdas, deltas = engine.AUDIT_LAMBDAS, engine.AUDIT_DELTAS
+    for lam in lambdas:
+        for delta in deltas:
             cfg = HadamardConfig(itv, order, lam, delta * a + (1.0 - delta) * b,
                                  (1.0 - delta) * a + delta * b)
             yield ("symmetric_pair_coeff", (("lam", lam), ("delta", delta)),
                    bounds.l_coeff(order, lam, delta) * width / (alpha + 1.0), cfg, 1.0)
-    for lam in params.lambdas:
+    for lam in lambdas:
         v = (1.0 - lam) * a + lam * b
         yield ("coincident_node_bound", (("lam", lam),),
                (pw(v - a, alpha + 1.0) + pw(b - v, alpha + 1.0)) / ((alpha + 1.0) * width ** alpha),
                HadamardConfig(itv, order, lam, v, v), 1.0)
-    for lam in params.lambdas:
+    for lam in lambdas:
         yield ("endpoint_pair_bound", (("lam", lam),),
                alpha * width * (pw(lam, alpha + 1.0) + pw(1.0 - lam, alpha + 1.0)) / (alpha + 1.0),
                HadamardConfig(itv, order, lam, a, b), 1.0)
-    for lam in params.lambdas:
-        for dn in params.node_deltas:
+    for lam in lambdas:
+        for dn in engine.AUDIT_NODE_DELTAS:
             node = dn * a + (1.0 - dn) * b
             yield ("shifted_single_node_bound", (("lam", lam), ("node_delta", dn)),
                    width * (pw(dn, alpha + 1.0) + pw(1.0 - dn, alpha + 1.0)) / (alpha + 1.0),
                    HadamardConfig(itv, order, lam, node, node), 1.0)
-    if params.deltas:
-        yield ("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)),
-               width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0))
-               / (2.0 ** (alpha + 1.0) * (alpha + 1.0)),
-               HadamardConfig(itv, order, 0.5, (3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0),
-               2.0 ** (alpha - 1.0))
-    for lam, eta in params.simplex:
-        for delta in params.deltas:
+    yield ("quarter_pair_bound", (("lam", 0.5), ("delta", 0.75)),
+           width * (1.0 + 2.0 ** (alpha - 1.0) * (alpha - 1.0))
+           / (2.0 ** (alpha + 1.0) * (alpha + 1.0)),
+           HadamardConfig(itv, order, 0.5, (3.0 * a + b) / 4.0, (a + 3.0 * b) / 4.0),
+           2.0 ** (alpha - 1.0))
+    for lam, eta in engine.AUDIT_SIMPLEX:
+        for delta in deltas:
             cfg = BullenConfig(itv, order, lam, eta, 1.0 - lam - eta,
                                delta * a + (1.0 - delta) * b, (a + b) / 2.0,
                                (1.0 - delta) * a + delta * b)
@@ -303,16 +303,15 @@ def reference_instances(itv: Interval, order: Order, params: engine.CorollaryPar
     def theta_cfg(theta):
         return BullenConfig(itv, order, theta / 2.0, 1.0 - theta, theta / 2.0,
                             a, (a + b) / 2.0, b)
-    for theta in params.thetas:
+    for theta in engine.AUDIT_THETAS:
         yield ("theta_weighted_triple_bound", (("theta", theta),),
                bounds.weighted_bullen_coeff(order, theta) * width / (alpha + 1.0),
                theta_cfg(theta), 1.0)
-    if params.thetas:
-        yield ("bullen_theta_half_bound", (("theta", 0.5),),
-               bounds.bullen_remark_coeff(alpha) * width, theta_cfg(0.5), 2.0 ** (alpha - 1.0))
-        yield ("simpson_theta_third_bound", (("theta", 1.0 / 3.0),),
-               bounds.simpson_remark_coeff(alpha) * width, theta_cfg(1.0 / 3.0),
-               6.0 ** (alpha - 1.0))
+    yield ("bullen_theta_half_bound", (("theta", 0.5),),
+           bounds.bullen_remark_coeff(alpha) * width, theta_cfg(0.5), 2.0 ** (alpha - 1.0))
+    yield ("simpson_theta_third_bound", (("theta", 1.0 / 3.0),),
+           bounds.simpson_remark_coeff(alpha) * width, theta_cfg(1.0 / 3.0),
+           6.0 ** (alpha - 1.0))
 
 
 def reference_finding(order, formula_id, pt, printed, cfg, scale, witness_list):
@@ -337,13 +336,12 @@ def reference_finding(order, formula_id, pt, printed, cfg, scale, witness_list):
 @pytest.mark.parametrize("seeds", [(101, 202, 303), (8, 9, 10)], ids=str)
 def test_corollary_suite_equals_scalar_reference(seeds):
     itv = Interval(0.0, 1.0)
-    params = engine.CorollaryParams(witness_seeds=seeds)
     witness_list = [random_lipschitz(s, itv) for s in seeds]
     for alpha in (1e-6, 0.25, 1.0, 1.5, 3.5, 30.0, 170.0):
         order = Order(alpha)
         want = [reference_finding(order, *inst, witness_list)
-                for inst in reference_instances(itv, order, params)]
-        got = engine.corollary_suite(itv, order, params)
+                for inst in reference_instances(itv, order)]
+        got = engine.corollary_suite(itv, order, seeds)
         assert len(got) == len(want) == 192
         for g, w in zip(got, want):
             assert (g.formula_id, g.params) == (w.formula_id, w.params)

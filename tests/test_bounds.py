@@ -114,11 +114,11 @@ def test_moments_match_quadrature_oracle(alpha):
             continue
         x = float(rng.uniform(a, b))
         got = left_moment(x, a, v, order)
-        want = abs_moment_quadrature(x, a, v, a, "left", order)
+        want = abs_moment_quadrature(x, a, v, "left", order)
         assert abs(got - want) <= max(1e-10, 1e-8 * abs(want))
         y = float(rng.uniform(a, b))
         got = abs_moment_closed(y, a, v, order)
-        want = abs_moment_quadrature(y, a, v, v, "right", order)
+        want = abs_moment_quadrature(y, a, v, "right", order)
         assert abs(got - want) <= max(1e-10, 1e-8 * abs(want))
 
 
@@ -205,8 +205,8 @@ def test_v_hadamard_vs_quadrature(alpha):
     for _ in range(20):
         cfg = rnd_hadamard(rng, alpha)
         v = cfg.v_node
-        want = (abs_moment_quadrature(cfg.x, 0.0, v, 0.0, "left", order)
-                + abs_moment_quadrature(cfg.y, v, 1.0, 1.0, "right", order))
+        want = (abs_moment_quadrature(cfg.x, 0.0, v, "left", order)
+                + abs_moment_quadrature(cfg.y, v, 1.0, "right", order))
         assert v_hadamard(cfg).total == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
@@ -277,9 +277,9 @@ def test_v_bullen_vs_quadrature(alpha):
     for _ in range(15):
         cfg = rnd_bullen(rng, alpha)
         v1, v2 = cfg.v1_node, cfg.v2_node
-        want = (abs_moment_quadrature(cfg.x, 0.0, v1, 0.0, "left", order)
-                + abs_moment_quadrature(cfg.y, v1, v2, v2, "right", order)
-                + abs_moment_quadrature(cfg.z, v2, 1.0, 1.0, "right", order))
+        want = (abs_moment_quadrature(cfg.x, 0.0, v1, "left", order)
+                + abs_moment_quadrature(cfg.y, v1, v2, "right", order)
+                + abs_moment_quadrature(cfg.z, v2, 1.0, "right", order))
         assert v_bullen(cfg).total == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 

@@ -26,8 +26,6 @@ def test_run_config_validation():
         RunConfig(alpha_grid=(0.5, 200.0))
     with pytest.raises(DomainError):
         RunConfig(fmt="yaml")
-    with pytest.raises(DomainError):
-        RunConfig(m_max=-1.0)
     assert RunConfig().seed == 42
     assert RunConfig().alpha_grid == (0.5, 1.0, 1.5, 2.0)
 
@@ -60,8 +58,9 @@ def test_verify_bullen_small_run():
     assert rep.aggregate["max_oracle_residual"] <= 1e-8
 
 
-def test_constant_witness_run_gap_zero():
-    rep = cmd_verify_hadamard(RunConfig(trials=5, m_max=0.0))
+def test_constant_witness_run_gap_zero(monkeypatch):
+    monkeypatch.setattr(cli, "M_MAX", 0.0)
+    rep = cmd_verify_hadamard(RunConfig(trials=5))
     assert rep.aggregate["violations"] == 0
     assert all(r["gap"] <= 1e-12 for r in rep.records)
     assert all(r["m"] == 0.0 for r in rep.records)
@@ -133,8 +132,9 @@ def test_check_identities_unit_order_residuals_tiny():
 
 def test_check_identities_draws_each_sample_once_per_run(monkeypatch):
     # A sample's stream does not depend on the order: one draw per
-    # (ordering case x k) serves every order of the grid.
-    per_case = 12
+    # (ordering case x k) serves every order of the grid.  Both grids have
+    # two orders, so both draw 23 samples per case.
+    per_case = 23
     trials = []
     trial_rng = cli._trial_rng
 
@@ -144,14 +144,14 @@ def test_check_identities_draws_each_sample_once_per_run(monkeypatch):
 
     monkeypatch.setattr(cli, "_trial_rng", counted)
     reports = {}
-    for grid in ((2.0,), (0.5, 2.0), (0.5, 1.0, 1.5, 2.0)):
+    for grid in ((0.5, 2.0), (2.0, 0.5)):
         trials.clear()
-        reports[grid] = cmd_check_identities(RunConfig(alpha_grid=grid), per_case)
+        reports[grid] = cmd_check_identities(RunConfig(alpha_grid=grid))
         assert len(trials) == len(set(trials)) == 11 * per_case
         assert reports[grid].aggregate["evaluations"] == 11 * per_case * len(grid)
     at_2 = lambda rep: [r for r in rep.records if r["kind"] == "moment" and r["alpha"] == 2.0]
-    assert at_2(reports[(0.5, 2.0)]) == at_2(reports[(2.0,)])
-    assert len(at_2(reports[(2.0,)])) == (3 * 2 + 8 * 3) * per_case
+    assert at_2(reports[(0.5, 2.0)]) == at_2(reports[(2.0, 0.5)])
+    assert len(at_2(reports[(2.0, 0.5)])) == (3 * 2 + 8 * 3) * per_case
 
 
 @pytest.mark.parametrize("interval", ["0,1e-12", "0,1e-200", "-3,-2.9999999999"])
@@ -215,10 +215,11 @@ def test_audit_classical_diagnostics_present():
 # ----------------------------------------------------------------------
 
 def test_sweep_single_grid_point():
-    rep = cmd_sweep(RunConfig(trials=1, alpha_grid=(1.0,)), "hadamard",
-                    lambdas=(0.5,), deltas=(0.5,))
-    assert len(rep.records) == 1
+    rep = cmd_sweep(RunConfig(trials=1, alpha_grid=(1.0,)), "hadamard")
+    assert len(rep.records) == len(cli.SWEEP_LAMBDAS) * len(cli.SWEEP_DELTAS)
     assert rep.columns == ("alpha", "lam", "delta", "gap", "bound", "ratio")
+    (row,) = [r for r in rep.records if r["lam"] == 0.5 and r["delta"] == 0.5]
+    assert row["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_sharpness_row():
@@ -390,7 +391,7 @@ def test_nonconverging_oracle_check_is_a_breach_whatever_its_estimate(estimate, 
     # a non-finite estimate records an infinite residual.
     exact_gap = engine.config_gap
 
-    def gives_up(config, witness, method="oracle", settings=None):
+    def gives_up(config, witness, method="oracle"):
         value = exact_gap(config, witness) if estimate == "exact" else estimate
         raise QuadratureToleranceError("gave up", value, 1.0)
 

@@ -10,9 +10,8 @@ from fracbound.bounds import BullenConfig, HadamardConfig, abs_moment_closed
 from fracbound.corpus import (LipschitzWitness, PiecewiseLinearFunction,
                               exact_rl_left, lipschitz_constant, random_lipschitz,
                               tent)
-from fracbound.engine import (CorollaryParams, ErratumEntry, GapResult, bullen_bound,
-                              bullen_gap, corollary_suite, hadamard_bound,
-                              hadamard_gap, verify)
+from fracbound.engine import (ErratumEntry, GapResult, bullen_bound, bullen_gap,
+                              corollary_suite, hadamard_bound, hadamard_gap, verify)
 from fracbound.quadrature import DomainError, Interval, Order
 
 ITV = Interval(0.0, 1.0)
@@ -229,9 +228,6 @@ def test_corollary_suite_structure_and_soundness():
         assert (f.erratum is not None) == (f.deviation > 1e-8)
         if f.erratum is not None:
             assert f.erratum.formula_id == f.formula_id
-        # findings unpack as (GapResult, ErratumEntry | None) pairs
-        res, err = f
-        assert res is f.gap_result and err is f.erratum
 
 
 def test_corollary_suite_exact_families():
@@ -272,18 +268,16 @@ def test_corollary_suite_never_fails_witnesses_on_deviating_bounds():
     # deviating shortcut values must be adjudicated against the oracle bound:
     # bound_used is oracle_bound times some witness constant, never the
     # printed value, and the gap test still passes
-    params = CorollaryParams()
-    constants = [random_lipschitz(s, ITV).constant for s in params.witness_seeds]
-    for f in corollary_suite(ITV, Order(0.5), params):
+    constants = [random_lipschitz(s, ITV).constant for s in (101, 202, 303)]
+    for f in corollary_suite(ITV, Order(0.5)):
         if f.erratum is not None and f.oracle_bound > 0.0:
             scale = f.gap_result.bound / f.oracle_bound
             assert any(scale == pytest.approx(m, rel=1e-12) for m in constants)
             assert f.gap_result.passed
 
 
-def test_corollary_params_custom_witnesses():
-    params = CorollaryParams(witness_seeds=(7,))
-    findings = corollary_suite(ITV, Order(1.0), params)
+def test_corollary_suite_custom_witnesses():
+    findings = corollary_suite(ITV, Order(1.0), witness_seeds=(7,))
     assert all(f.gap_result.passed for f in findings)
 
 
@@ -294,20 +288,17 @@ def test_corollary_suite_draws_its_witnesses_once_per_run(monkeypatch):
     draw = corpus.random_lipschitz_arrays
     monkeypatch.setattr(corpus, "random_lipschitz_arrays",
                         lambda *args: draws.append(args) or draw(*args))
-    params = CorollaryParams(witness_seeds=(5151, 5252, 5353))
-    first = corollary_suite(ITV, Order(0.5), params)
+    seeds = (5151, 5252, 5353)
+    first = corollary_suite(ITV, Order(0.5), seeds)
     for alpha in (1.0, 2.0, 0.5):
-        corollary_suite(ITV, Order(alpha), params)
-    assert draws == [((5151, 5252, 5353), ITV)]
-    assert corollary_suite(ITV, Order(0.5), params) == first
+        corollary_suite(ITV, Order(alpha), seeds)
+    assert draws == [(seeds, ITV)]
+    assert corollary_suite(ITV, Order(0.5), seeds) == first
 
 
-def test_corollary_suite_empty_grids_empty_report():
-    params = CorollaryParams(lambdas=(), deltas=(), node_deltas=(), simplex=(),
-                             thetas=())
-    assert corollary_suite(ITV, Order(1.0), params) == []
+def test_corollary_suite_needs_a_witness_seed():
     with pytest.raises(DomainError):
-        corollary_suite(ITV, Order(1.0), CorollaryParams(witness_seeds=()))
+        corollary_suite(ITV, Order(1.0), witness_seeds=())
 
 
 def test_quarter_pair_unit_order_value():
