@@ -15,8 +15,11 @@ right-kernel moment for any node, and the left-kernel moment as the same
 function on the negated panel.  Two independent encodings are kept for the
 full two-panel and three-panel coefficients:
 
-  * a per-ordering literal term list (one closed expression per ordering
-    of the nodes against the panel edges), and
+  * a per-panel literal term list: each panel adds a node term, and a
+    corner ("kink") term when its node lies inside it, written out for the
+    branch the node takes against the panel's edges (``_panel_literal``);
+    the tuple of branches names the ordering, one of 3 for two nodes and
+    of 8 for three, and
   * the sum of the panel moments.
 
 ``v_hadamard`` / ``v_bullen`` evaluate both and raise
@@ -28,16 +31,17 @@ The literal three-point corner-weight coefficient (``n_coeff`` orderings
 7 and 8) intentionally keeps a mirrored middle-panel bracket so the audit
 can measure it; see ``n_coeff``.
 
-Case selection at exact ordering boundaries takes the lowest-index
-ordering; adjacent orderings agree there (continuity), so the choice
-never changes a value.
+At exact ordering boundaries a node on a panel's right edge takes the
+upper branch and a node on a right-kernel panel's left edge the middle
+one; adjacent branches agree there (continuity), so the choice never
+changes a value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -216,7 +220,7 @@ class BullenConfig:
 class BoundBreakdown:
     """A bound coefficient with its per-term decomposition.
 
-    ``terms`` are the named summands of the literal per-ordering expression
+    ``terms`` are the named summands of the per-panel literal expression
     and ``total`` is their sum; ``cross_total`` is the same value assembled
     from the panel-moment functions.  The constructor enforces that the
     terms add up and that the total is nonnegative.
@@ -234,18 +238,70 @@ class BoundBreakdown:
         if self.total < -1e-12:
             raise InconsistencyError(f"bound total must be nonnegative, got {self.total}")
 
-    def as_record(self) -> dict:
-        rec = {"case": self.case_tag}
-        rec.update({name: value for name, value in self.terms})
-        rec["total"] = self.total
-        rec["cross_total"] = self.cross_total
-        return rec
+
+def _panel_literal(panels: PanelConfig, p: int) -> tuple:
+    """(branch, terms) of panel p in the literal encoding.
+
+    The first panel (left kernel, distance d = node - a) has branches
+    "upper" (node at or past its right edge) and "middle"; every later
+    panel (right kernel, d = right edge - node) has "upper" (node at or
+    past its right edge; never on the last panel), "middle" (node inside
+    or on the left edge) and "lower" (node before it).  The middle branch
+    carries the corner term 2*d^(alpha+1)/(alpha*(alpha+1)) ahead of its
+    node term.
+    """
+    alpha = panels.order.alpha
+    k = len(panels.nodes)
+    name = "left" if p == 0 else "right" if p == k - 1 else "mid"
+    lo, hi, y = panels.edges[p], panels.edges[p + 1], panels.nodes[p]
+    w = hi - lo
+    pw = _pw(w, alpha)
+    if p == 0:
+        d = y - lo
+        if y >= hi:
+            return "upper", ((f"{name}_node", pw * (d / alpha - w / (alpha + 1.0))),)
+    else:
+        d = hi - y
+        if y >= hi and p < k - 1:
+            return "upper", ((f"{name}_node", pw * ((y - hi) / alpha + w / (alpha + 1.0))),)
+        if y < lo:
+            return "lower", ((f"{name}_node", pw * (d / alpha - w / (alpha + 1.0))),)
+    return "middle", ((f"{name}_kink", 2.0 * _pw(d, alpha + 1.0) / (alpha * (alpha + 1.0))),
+                      (f"{name}_node", pw * (w / (alpha + 1.0) - d / alpha)))
 
 
-def _dual_path_guard(literal: float, assembled: float, tag: str) -> None:
-    if abs(literal - assembled) > DUAL_PATH_RTOL * max(1.0, abs(assembled)):
-        raise InconsistencyError(
-            f"case {tag}: literal={literal!r} vs assembled={assembled!r}")
+def _breakdown(panels: PanelConfig, tags: dict) -> BoundBreakdown:
+    """Literal terms of every panel, tagged by their branch tuple, checked
+    against the sum of the panel moments (the first panel reflected)."""
+    order, edges, nodes = panels.order, panels.edges, panels.nodes
+    assembled = abs_moment_closed(-nodes[0], -edges[1], -edges[0], order)
+    for p in range(1, len(nodes)):
+        assembled = assembled + abs_moment_closed(nodes[p], edges[p], edges[p + 1], order)
+    branches, panel_terms = zip(*(_panel_literal(panels, p) for p in range(len(nodes))))
+    tag = tags[branches]
+    terms = tuple(chain.from_iterable(panel_terms))
+    total = math.fsum(v for _, v in terms)
+    if abs(total - assembled) > DUAL_PATH_RTOL * max(1.0, abs(assembled)):
+        raise InconsistencyError(f"case {tag}: literal={total!r} vs assembled={assembled!r}")
+    return BoundBreakdown(tag, terms, total, assembled)
+
+
+_HADAMARD_TAGS = {
+    ("upper", "middle"): "V<=x<=y",
+    ("middle", "middle"): "x<=V<=y",
+    ("middle", "lower"): "x<=y<=V",
+}
+
+_BULLEN_TAGS = {
+    ("upper", "upper", "middle"): "V1<=V2<=x<=y<=z",
+    ("upper", "middle", "middle"): "V1<=x<=y<=V2<=z",
+    ("upper", "middle", "lower"): "V1<=x<=y<=z<=V2",
+    ("middle", "upper", "middle"): "x<=V1<=V2<=y<=z",
+    ("middle", "middle", "middle"): "x<=V1<=y<=V2<=z",
+    ("middle", "middle", "lower"): "x<=V1<=y<=z<=V2",
+    ("middle", "lower", "middle"): "x<=y<=V1<=V2<=z",
+    ("middle", "lower", "lower"): "x<=y<=V1<=z<=V2",
+}
 
 
 def v_hadamard(config: HadamardConfig) -> BoundBreakdown:
@@ -254,39 +310,7 @@ def v_hadamard(config: HadamardConfig) -> BoundBreakdown:
 
     The scaled inequality bound is alpha * M * total / (b-a)^alpha.
     """
-    a, b = config.interval.a, config.interval.b
-    alpha = config.order.alpha
-    x, y, v = config.x, config.y, config.v_node
-    assembled = (abs_moment_closed(-x, -v, -a, config.order)
-                 + abs_moment_closed(y, v, b, config.order))
-
-    left_kink = 2.0 * _pw(x - a, alpha + 1.0) / (alpha * (alpha + 1.0))
-    right_kink = 2.0 * _pw(b - y, alpha + 1.0) / (alpha * (alpha + 1.0))
-    if v <= x:
-        tag = "V<=x<=y"
-        terms = (
-            ("left_node", _pw(v - a, alpha) * ((x - a) / alpha - (v - a) / (alpha + 1.0))),
-            ("right_kink", right_kink),
-            ("right_node", _pw(b - v, alpha) * ((b - v) / (alpha + 1.0) - (b - y) / alpha)),
-        )
-    elif v <= y:
-        tag = "x<=V<=y"
-        terms = (
-            ("left_kink", left_kink),
-            ("left_node", _pw(v - a, alpha) * ((v - a) / (alpha + 1.0) - (x - a) / alpha)),
-            ("right_kink", right_kink),
-            ("right_node", _pw(b - v, alpha) * ((b - v) / (alpha + 1.0) - (b - y) / alpha)),
-        )
-    else:
-        tag = "x<=y<=V"
-        terms = (
-            ("left_kink", left_kink),
-            ("left_node", _pw(v - a, alpha) * ((v - a) / (alpha + 1.0) - (x - a) / alpha)),
-            ("right_node", _pw(b - v, alpha) * ((b - y) / alpha - (b - v) / (alpha + 1.0))),
-        )
-    total = math.fsum(v_ for _, v_ in terms)
-    _dual_path_guard(total, assembled, tag)
-    return BoundBreakdown(tag, terms, total, assembled)
+    return _breakdown(config.panels, _HADAMARD_TAGS)
 
 
 def v_bullen(config: BullenConfig) -> BoundBreakdown:
@@ -296,58 +320,7 @@ def v_bullen(config: BullenConfig) -> BoundBreakdown:
     Eight orderings of (x, y, z) against (V1, V2) are possible given
     x <= y <= z and V1 <= V2; the tag names the selected one.
     """
-    a, b = config.interval.a, config.interval.b
-    alpha = config.order.alpha
-    x, y, z = config.x, config.y, config.z
-    v1, v2 = config.v1_node, config.v2_node
-    assembled = (abs_moment_closed(-x, -v1, -a, config.order)
-                 + abs_moment_closed(y, v1, v2, config.order)
-                 + abs_moment_closed(z, v2, b, config.order))
-    denom = alpha * (alpha + 1.0)
-    w1, w, w2 = v1 - a, v2 - v1, b - v2
-
-    if x >= v1:
-        left = (("left_node", _pw(w1, alpha) * ((x - a) / alpha - w1 / (alpha + 1.0))),)
-    else:
-        left = (
-            ("left_kink", 2.0 * _pw(x - a, alpha + 1.0) / denom),
-            ("left_node", _pw(w1, alpha) * (w1 / (alpha + 1.0) - (x - a) / alpha)),
-        )
-    if y >= v2:
-        mid = (("mid_node", _pw(w, alpha) * ((y - v2) / alpha + w / (alpha + 1.0))),)
-        mid_pos = "upper"
-    elif y >= v1:
-        mid = (
-            ("mid_kink", 2.0 * _pw(v2 - y, alpha + 1.0) / denom),
-            ("mid_node", _pw(w, alpha) * (w / (alpha + 1.0) - (v2 - y) / alpha)),
-        )
-        mid_pos = "middle"
-    else:
-        mid = (("mid_node", _pw(w, alpha) * ((v2 - y) / alpha - w / (alpha + 1.0))),)
-        mid_pos = "lower"
-    if z >= v2:
-        right = (
-            ("right_kink", 2.0 * _pw(b - z, alpha + 1.0) / denom),
-            ("right_node", _pw(w2, alpha) * (w2 / (alpha + 1.0) - (b - z) / alpha)),
-        )
-    else:
-        right = (("right_node", _pw(w2, alpha) * ((b - z) / alpha - w2 / (alpha + 1.0))),)
-
-    tags = {
-        (True, "upper", True): "V1<=V2<=x<=y<=z",
-        (True, "middle", True): "V1<=x<=y<=V2<=z",
-        (True, "middle", False): "V1<=x<=y<=z<=V2",
-        (False, "upper", True): "x<=V1<=V2<=y<=z",
-        (False, "middle", True): "x<=V1<=y<=V2<=z",
-        (False, "middle", False): "x<=V1<=y<=z<=V2",
-        (False, "lower", True): "x<=y<=V1<=V2<=z",
-        (False, "lower", False): "x<=y<=V1<=z<=V2",
-    }
-    tag = tags[(x >= v1, mid_pos, z >= v2)]
-    terms = left + mid + right
-    total = math.fsum(v_ for _, v_ in terms)
-    _dual_path_guard(total, assembled, tag)
-    return BoundBreakdown(tag, terms, total, assembled)
+    return _breakdown(config.panels, _BULLEN_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +459,7 @@ def _branches(cfg: PanelConfigs, p: int, tie_low: bool) -> dict:
 
 
 def _literal_terms(cfg: PanelConfigs, parts: list):
-    """Literal per-ordering encoding (v_hadamard/v_bullen term lists):
+    """Per-panel literal encoding (v_hadamard/v_bullen term lists):
     terms (n, 2k), a (kink, node) pair per panel, and a mask of the terms
     each row's ordering has."""
     n, k = cfg.nodes.shape
@@ -541,9 +514,9 @@ def v_panels(cfg: PanelConfigs) -> np.ndarray:
     return total
 
 
-def _check_delta(delta: float, lo: float = 0.5) -> None:
-    if not (lo <= delta <= 1.0):
-        raise DomainError(f"delta must be in [{lo}, 1], got {delta}")
+def _check_delta(delta: float) -> None:
+    if not (0.5 <= delta <= 1.0):
+        raise DomainError(f"delta must be in [0.5, 1], got {delta}")
 
 
 def l_coeff(order: Order, lam: float, delta: float) -> float:

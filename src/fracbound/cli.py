@@ -67,7 +67,7 @@ import numpy as np
 from . import __version__, bounds, corpus, engine
 from .bounds import abs_moment_closed
 from .quadrature import (DomainError, Interval, Order, QuadratureToleranceError,
-                         abs_moment_quadrature)
+                         abs_moment_quadrature, gamma_fn)
 
 __all__ = [
     "RunConfig",
@@ -272,9 +272,15 @@ def _evaluate(interval: Interval, alpha, weights, nodes, witnesses: corpus.Witne
     for al in sorted(set(cfg.alpha.tolist())):
         # A subnormal power has already lost digits; the gap and the bound
         # divide by it.
-        if not width ** al >= sys.float_info.min:
+        power = width ** al
+        if not power >= sys.float_info.min:
             raise DomainError(f"(b - a)^alpha underflows binary64 at width {width!r} "
                               f"and order {al!r}")
+        # The gap multiplies the panel integrals by this scale; an infinite
+        # one turns a zero integral into a NaN gap.
+        if not math.isfinite(gamma_fn(al + 1.0) / power):
+            raise DomainError(f"Gamma(alpha + 1)/(b - a)^alpha overflows binary64 at width "
+                              f"{width!r} and order {al!r}")
     gap = engine.panel_gap(cfg, witnesses)
     bound = engine.panel_bound(cfg, witnesses.constants)
     ratio, passed = engine.verify_panels(gap, bound)

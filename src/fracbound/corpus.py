@@ -79,10 +79,6 @@ class PiecewiseLinearFunction:
         return self.breakpoints[-1]
 
     @property
-    def interval(self) -> Interval:
-        return Interval(self.a, self.b)
-
-    @property
     def slopes(self) -> tuple:
         bps, vals = self.breakpoints, self.values
         return tuple((vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1))
@@ -329,9 +325,9 @@ def exact_rl_panels(witnesses: WitnessArrays, edges: np.ndarray,
     panel, ``exact_rl_left(f, order, e_1)``; column p >= 1 is the
     right-kernel panel anchored at its own right edge,
     ``exact_rl_mid(f, e_p, e_{p+1}, order)``.  The power rule runs segment by
-    segment in the order and with the operations of those functions, so
-    every value equals theirs bit for bit; a segment piece that misses the
-    panel adds nothing.
+    segment in the order and with the operations of those functions, up to
+    exact negations, so every value equals theirs bit for bit; a segment
+    piece that misses the panel adds nothing.
     """
     bps, vals = witnesses.breakpoints, witnesses.values
     alpha = np.asarray(alpha, dtype=float)
@@ -346,20 +342,20 @@ def exact_rl_panels(witnesses: WitnessArrays, edges: np.ndarray,
         u = np.minimum(np.maximum(bps, lo), hi)
         s0 = u[:, :-1]
         v_lo = vals[:, :-1] + slope * (s0 - bps[:, :-1])
+        # Distance from the kernel anchor and the slope along it: a on the
+        # left panel, the right edge, walking back, on every other one.
+        # Segment j runs from u_j to u_{j+1}; "far" is its end further
+        # from the anchor.  Negation is exact, so each value keeps the
+        # bits of exact_rl_left / exact_rl_mid.
         if p == 0:
-            dist = u - lo
-            c = v_lo - slope * (s0 - lo)
+            dist, rate, far, near = u - lo, slope, np.s_[:, 1:], np.s_[:, :-1]
         else:
-            dist = hi - u
-            c = v_lo + slope * (hi - s0)
+            dist, rate, far, near = hi - u, -slope, np.s_[:, :-1], np.s_[:, 1:]
+        c = v_lo - rate * dist[:, :-1]
         pa = _offset_powers(dist, hi - lo, alpha_col)
         pb = _offset_powers(dist, hi - lo, alpha1_col)
-        if p == 0:
-            first = c * (pa[:, 1:] - pa[:, :-1]) / alpha_col
-            second = slope * (pb[:, 1:] - pb[:, :-1]) / alpha1_col
-        else:
-            first = c * (pa[:, :-1] - pa[:, 1:]) / alpha_col
-            second = -(slope * (pb[:, :-1] - pb[:, 1:]) / alpha1_col)
+        first = c * (pa[far] - pa[near]) / alpha_col
+        second = rate * (pb[far] - pb[near]) / alpha1_col
         live = u[:, 1:] > s0
         total = np.zeros(len(alpha))
         for j in range(slope.shape[1]):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -409,7 +410,9 @@ def corollary_suite(interval: Interval, order: Order,
     canonical on [0, 1]; scale covariance extends them to general
     intervals.
 
-    Steps (ii) and (iii) run in one batched k-panel pass per node count
+    Steps (ii) and (iii) run in one batched k-panel pass per run of
+    instances with one node count, which is one pass per node count since
+    :func:`_instances` yields every two-node instance first
     (:func:`panel_bound`, :func:`panel_gap`, :func:`verify_panels`), whose
     values equal those of :func:`hadamard_bound`, :func:`bullen_bound`,
     :func:`config_gap` and :func:`verify` bit for bit.  The witnesses are
@@ -423,14 +426,10 @@ def corollary_suite(interval: Interval, order: Order,
     alpha = order.alpha
     instances = list(_instances(interval, order))
     witnesses = _audit_witnesses(witness_seeds, interval)
-    by_nodes: dict = {}
-    for i, inst in enumerate(instances):
-        by_nodes.setdefault(len(inst.nodes), []).append(i)
-    results = [None] * len(instances)
-    for indices in by_nodes.values():
-        columns = _audit_panels(interval, alpha, [instances[i] for i in indices], witnesses)
-        for i, result in zip(indices, zip(*(c.tolist() for c in columns))):
-            results[i] = result
+    results = []
+    for _, group in groupby(instances, key=lambda inst: len(inst.nodes)):
+        columns = _audit_panels(interval, alpha, list(group), witnesses)
+        results.extend(zip(*(c.tolist() for c in columns)))
     findings = []
     for inst, (oracle, deviation, gap, bound, ratio, passed) in zip(instances, results):
         pt = (("alpha", alpha),) + inst.params

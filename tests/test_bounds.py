@@ -7,10 +7,12 @@ documented facts; see the module docstring of fracbound.bounds.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from fracbound import bounds
 from fracbound.bounds import (BoundBreakdown, BullenConfig, HadamardConfig,
                               InconsistencyError, abs_moment_closed,
                               bullen_remark_coeff, l_coeff, l_coeff_reference,
@@ -156,12 +158,19 @@ def test_breakdown_invariants():
         BoundBreakdown("tag", (("a", 1.0), ("b", 2.0)), 4.0, 4.0)
     with pytest.raises(InconsistencyError):
         BoundBreakdown("tag", (("a", -1.0),), -1.0, -1.0)
-    bd = v_hadamard(HadamardConfig(ITV, Order(0.5), 0.5, 0.3, 0.7))
-    rec = bd.as_record()
-    assert rec["case"] == bd.case_tag
-    assert rec["total"] == bd.total
-    assert math.fsum(v for k, v in rec.items()
-                     if k not in ("case", "total", "cross_total")) == pytest.approx(bd.total)
+
+
+@pytest.mark.parametrize("config", [
+    HadamardConfig(ITV, Order(0.5), 0.5, 0.3, 0.7),
+    BullenConfig(ITV, Order(1.5), 0.2, 0.5, 0.3, 0.1, 0.5, 0.9),
+], ids=["hadamard", "bullen"])
+def test_scalar_dual_path_guard_catches_a_corrupted_moment(config, monkeypatch):
+    v_fn = v_hadamard if isinstance(config, HadamardConfig) else v_bullen
+    tag = v_fn(config).case_tag
+    moment = bounds.abs_moment_closed
+    monkeypatch.setattr(bounds, "abs_moment_closed", lambda *args: moment(*args) + 1e-6)
+    with pytest.raises(InconsistencyError, match=f"case {re.escape(tag)}: literal="):
+        v_fn(config)
 
 
 # ----------------------------------------------------------------------

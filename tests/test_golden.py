@@ -1,4 +1,5 @@
-"""Golden report bytes of every subcommand, and the JSON writer.
+"""Golden report bytes of every subcommand, the scalar bound breakdowns,
+and the JSON writer.
 
 The verify digests were recorded with the per-record scalar sweep (one
 config, exact gap and dual-path bound per record); the check-identities,
@@ -14,11 +15,13 @@ from itertools import chain
 
 import pytest
 
+from fracbound.bounds import v_bullen, v_hadamard
 from fracbound.cli import (RunConfig, VerificationReport, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
                            cmd_verify_hadamard, main)
 from fracbound.corpus import random_lipschitz, to_text
 from fracbound.quadrature import Interval
+from test_batched import INTERVALS, three_node_cases, two_node_cases
 
 GOLDEN_ALPHAS = ("0.25", "1", "3.5")
 
@@ -194,6 +197,22 @@ def test_sweep_report_golden_digest(case, tmp_path):
         argv += ["--alpha", alpha]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256[case]
+
+
+# Every breakdown of the batched tests' two- and three-node grids (3840
+# configurations over their three intervals): case tags, term names, term
+# order and values, total and cross_total.
+GOLDEN_BREAKDOWN_SHA256 = "c685aff425b527c50d51b2c3092da5b9b44aa5c06a9343fb725c8815d254664d"
+
+
+def test_breakdown_golden_digest():
+    digest = hashlib.sha256()
+    for itv in INTERVALS:
+        for cases, v_fn in ((two_node_cases, v_hadamard), (three_node_cases, v_bullen)):
+            for cfg, _, _ in cases(itv):
+                bd = v_fn(cfg)
+                digest.update(repr((bd.case_tag, bd.terms, bd.total, bd.cross_total)).encode())
+    assert digest.hexdigest() == GOLDEN_BREAKDOWN_SHA256
 
 
 # ----------------------------------------------------------------------
