@@ -25,11 +25,19 @@ nonnegative gap and bound.  Every fractional power is Python's float
 ``**`` (libm ``pow``), applied element by element, not ``np.power``, whose
 SIMD loops differ from libm in the last bit on a few percent of arguments
 and would change report bytes.  The scalar functions remain the reference
-the tests hold the batched pass to.  The quadrature oracle of every tenth
-verify trial runs through ``config_gap`` on that record's row; an oracle
-check whose quadrature does not converge counts as a residual breach,
-and the number of such checks is named on stderr.  check-identities
-draws its samples once per run (a sample's stream does not depend on the
+the tests hold the batched pass to.
+
+Quadrature oracle: the records of every tenth verify trial are
+re-evaluated by quadrature, every panel of every such record in one call
+of the batched Gauss-Jacobi / Gauss-Kronrod integrator
+(:func:`fracbound.engine.panel_quadrature_gap`, equal bit for bit to
+``config_gap`` with method "quadrature" on each record's row), and
+check-identities checks each order's panel moments in one such call
+(:func:`fracbound.quadrature.abs_moments`).  An oracle check whose
+quadrature does not converge counts as a residual breach, and the number
+of such checks is named on stderr.  The oracle is numpy only; QUADPACK
+serves as the reference in the test suite alone.  check-identities draws
+its samples once per run (a sample's stream does not depend on the
 order) and checks each one at every order of the grid; its continuity
 probes run through one ``PanelConfigs`` and ``v_panels`` pass per node
 count, covering every order.
@@ -66,8 +74,7 @@ import numpy as np
 
 from . import __version__, bounds, corpus, engine
 from .bounds import abs_moment_closed
-from .quadrature import (DomainError, Interval, Order, QuadratureToleranceError,
-                         abs_moment_quadrature, gamma_fn)
+from .quadrature import DomainError, Interval, Order, abs_moments, gamma_fn
 
 __all__ = [
     "RunConfig",
@@ -289,10 +296,11 @@ def _evaluate(interval: Interval, alpha, weights, nodes, witnesses: corpus.Witne
 
 def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     """Draw every trial, then evaluate all (trial x alpha) records in one
-    batched k-panel pass; every ORACLE_CHECK_STRIDE-th trial is re-evaluated
-    through the scalar quadrature path.  An oracle check whose quadrature
-    does not converge counts as a residual breach, its residual taken
-    against the integrator's last estimate."""
+    batched k-panel pass; the records of every ORACLE_CHECK_STRIDE-th trial
+    are re-evaluated by quadrature, all in one oracle call.  An oracle
+    check whose quadrature does not converge counts as a residual breach,
+    its residual taken against the gap of the integrator's last
+    estimates."""
     t0 = time.perf_counter()
     weight_names, node_names = SWEEP_COLUMNS[command]
     k = len(node_names)
@@ -323,35 +331,31 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     records = [dict(zip(columns, rec), method="oracle")
                for rec in zip(*(v.tolist() for v in values.values()))]
 
+    # The records of every ORACLE_CHECK_STRIDE-th trial, in record order.
+    checked = (np.arange(0, trials, ORACLE_CHECK_STRIDE)[:, None] * len(grid)
+               + np.arange(len(grid))).ravel()
+    quad_cfg = bounds.PanelConfigs(run.interval, cfg.alpha[checked], weights[rows[checked]],
+                                   nodes[rows[checked]])
+    quad_gap, converged = engine.panel_quadrature_gap(quad_cfg, record_witnesses.take(checked))
     max_resid = 0.0
     resid_breaches = 0
-    failures = 0
-    checked = range(0, trials, ORACLE_CHECK_STRIDE)
-    for trial in checked:
-        witness = witnesses.witness(trial)
-        for row in range(trial * len(grid), (trial + 1) * len(grid)):
-            rec = records[row]
-            converged = True
-            try:
-                gq = engine.config_gap(cfg.row(row), witness, method="quadrature")
-            except QuadratureToleranceError as exc:
-                converged, gq = False, exc.estimate
-            resid = (_relative_residual(rec["gap"], gq) if converged or math.isfinite(gq)
-                     else math.inf)
-            rec["oracle_residual"] = resid
-            max_resid = max(max_resid, resid)
-            resid_breaches += resid > RESIDUAL_LIMIT or not converged
-            failures += not converged
+    for row, gq, ok in zip(checked.tolist(), quad_gap.tolist(), converged.tolist()):
+        rec = records[row]
+        resid = _relative_residual(rec["gap"], gq) if ok or math.isfinite(gq) else math.inf
+        rec["oracle_residual"] = resid
+        max_resid = max(max_resid, resid)
+        resid_breaches += resid > RESIDUAL_LIMIT or not ok
     aggregate = {
         "evaluations": len(records),
         "violations": int(np.count_nonzero(~passed)),
         "max_ratio": max([0.0] + [r for r in ratio.tolist() if math.isfinite(r)]),
-        "oracle_checks": len(checked) * len(grid),
+        "oracle_checks": len(checked),
         "max_oracle_residual": max_resid,
         "oracle_residual_breaches": resid_breaches,
     }
     return VerificationReport(command, run, columns + ("method", "oracle_residual"),
-                              records, aggregate, [], time.perf_counter() - t0, failures)
+                              records, aggregate, [], time.perf_counter() - t0,
+                              int(np.count_nonzero(~converged)))
 
 
 def cmd_verify_hadamard(run: RunConfig) -> VerificationReport:
@@ -422,18 +426,20 @@ def _three_node_sample(case: int, k: int, rng, a: float, b: float):
     return (x, y, z), (a, v1, v2, b)
 
 
-def _panel_moments(nodes: tuple, edges: tuple, order: Order) -> list:
-    """(panel, closed form, quadrature) of every panel moment of a sample:
-    the left kernel on the first panel, the right kernel on the others."""
-    x, a, v = nodes[0], edges[0], edges[1]
-    moments = [("left", abs_moment_closed(-x, -v, -a, order),
-                abs_moment_quadrature(x, a, v, "left", order))]
-    for p in range(1, len(nodes)):
-        y, lo, hi = nodes[p], edges[p], edges[p + 1]
-        moments.append(("right" if p == len(nodes) - 1 else "mid",
-                        abs_moment_closed(y, lo, hi, order),
-                        abs_moment_quadrature(y, lo, hi, "right", order)))
-    return moments
+def _panel_moments(nodes: tuple, edges: tuple) -> list:
+    """(panel, node, lower, upper) of every panel moment of a sample: the
+    left kernel on the first panel, the right kernel on the others."""
+    last = len(nodes) - 1
+    return [("left" if p == 0 else "right" if p == last else "mid", nodes[p], edges[p],
+             edges[p + 1]) for p in range(len(nodes))]
+
+
+def _closed_moment(panel: str, node: float, lower: float, upper: float, order: Order) -> float:
+    """The closed form of a panel moment; the left kernel's is the right
+    kernel's on the negated panel."""
+    if panel == "left":
+        return abs_moment_closed(-node, -upper, -lower, order)
+    return abs_moment_closed(node, lower, upper, order)
 
 
 def _continuity_probes(interval: Interval, grid: tuple, eps: float):
@@ -507,16 +513,23 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
              for family, cases, offset, sample in families
              for case in range(1, cases + 1)
              for k in range(per_case)]
+    moments = [(tag, *moment) for tag, nodes, edges in drawn
+               for moment in _panel_moments(nodes, edges)]
+    _, panels, x, lower, upper = zip(*moments)
+    right = [panel != "left" for panel in panels]
+    failures = 0
     for alpha in run.alpha_grid:
         order = Order(alpha)
-        for tag, nodes, edges in drawn:
-            for panel, closed, quad in _panel_moments(nodes, edges, order):
-                resid = _relative_residual(closed, quad)
-                max_resid = max(max_resid, resid)
-                resid_breaches += resid > RESIDUAL_LIMIT
-                records.append({"kind": "moment", "case": tag, "alpha": alpha,
-                                "panel": panel, "closed": closed, "quad": quad,
-                                "residual": resid})
+        closed = [_closed_moment(*moment[1:], order) for moment in moments]
+        quad = abs_moments(x, lower, upper, right, alpha)
+        failures += int(np.count_nonzero(~quad.converged))
+        for (tag, panel, *_), c, q, ok in zip(moments, closed, quad.value.tolist(),
+                                            quad.converged.tolist()):
+            resid = _relative_residual(c, q) if ok or math.isfinite(q) else math.inf
+            max_resid = max(max_resid, resid)
+            resid_breaches += resid > RESIDUAL_LIMIT or not ok
+            records.append({"kind": "moment", "case": tag, "alpha": alpha,
+                            "panel": panel, "closed": c, "quad": q, "residual": resid})
 
     max_delta = 0.0
     continuity_breaches = 0
@@ -540,7 +553,7 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
     }
     columns = ("kind", "case", "alpha", "panel", "closed", "quad", "residual")
     return VerificationReport("check-identities", run, columns, records, aggregate,
-                              [], time.perf_counter() - t0)
+                              [], time.perf_counter() - t0, failures)
 
 
 # --------------------------------------------------------------------------
@@ -755,9 +768,8 @@ def main(argv=None) -> int:
         report.command, agg.get("evaluations", len(report.records)),
         agg.get("violations", 0), report.duration_seconds), file=sys.stderr)
     if report.oracle_failures:
-        print(f"fracbound: {report.oracle_failures} oracle checks did not converge "
-              f"(QuadratureToleranceError); each counts as an oracle residual breach",
-              file=sys.stderr)
+        print(f"fracbound: {report.oracle_failures} oracle checks did not converge; "
+              f"each counts as an oracle residual breach", file=sys.stderr)
     return _exit_code(report)
 
 

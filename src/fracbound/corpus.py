@@ -83,7 +83,12 @@ class PiecewiseLinearFunction:
         bps, vals = self.breakpoints, self.values
         return tuple((vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1))
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """f(t) for a float t; for an array, f at each entry, evaluated
+        through a one-row :class:`WitnessArrays` with the same arithmetic."""
+        if isinstance(t, np.ndarray):
+            one = WitnessArrays.repeat(LipschitzWitness(self, lipschitz_constant(self)), 1)
+            return one(t.reshape(1, -1)).reshape(t.shape)
         bps, vals = self.breakpoints, self.values
         if t <= bps[0]:
             return vals[0]

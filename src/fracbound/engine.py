@@ -53,6 +53,7 @@ __all__ = [
     "hadamard_gap",
     "panel_bound",
     "panel_gap",
+    "panel_quadrature_gap",
     "verify",
     "verify_panels",
 ]
@@ -196,6 +197,38 @@ def panel_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays) -> np.ndarr
 
     | sum_p w_p^a f(x_p) - Gamma(a+1)/(b-a)^a * sum_p (panel integral p) |
     """
+    return _assembled_gap(config, witnesses,
+                          corpus.exact_rl_panels(witnesses, config.edges, config.alpha))
+
+
+def panel_quadrature_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays):
+    """Quadrature gap of every row, with the k panel integrals of every
+    row in one :func:`fracbound.quadrature.kernel_integrals` call: returns
+    (gap, converged).  A converged row's gap is :func:`config_gap` of the
+    row with method "quadrature", bit for bit; a row with a panel that
+    missed its tolerances has the gap of the integrator's last estimates.
+    """
+    n, k = config.nodes.shape
+    lo, hi = config.edges[:, :-1], config.edges[:, 1:]
+    # The first panel's kernel is anchored at a and walks right, every
+    # other panel's at its right edge and walks left; kinks are the
+    # witness breakpoints in the distance from the anchor.
+    first = np.arange(k) == 0
+    anchor = np.where(first, lo, hi)
+    bps = witnesses.breakpoints[:, None, :]
+    kinks = np.where(first[None, :, None], bps - lo[:, :1, None], hi[:, :, None] - bps)
+    result = quadrature.kernel_integrals(
+        lambda rows, t: witnesses.take(rows // k)(t), anchor.ravel(),
+        np.tile(np.where(first, 1.0, -1.0), n), (hi - lo).ravel(),
+        np.repeat(config.alpha, k), kinks.reshape(n * k, -1))
+    panels = result.value.reshape(n, k) / per_order(gamma_fn, config.alpha)[:, None]
+    return (_assembled_gap(config, witnesses, panels),
+            result.converged.reshape(n, k).all(axis=1))
+
+
+def _assembled_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays,
+                   panels: np.ndarray) -> np.ndarray:
+    """The gap of every row from its panel integrals, one column per panel."""
     a, b = config.interval.a, config.interval.b
     bps = witnesses.breakpoints
     if not ((bps[:, 0] == a) & (bps[:, -1] == b)).all():
@@ -206,7 +239,6 @@ def panel_gap(config: PanelConfigs, witnesses: corpus.WitnessArrays) -> np.ndarr
     weighted = weight_pw[:, 0] * at_nodes[:, 0]
     for p in range(1, at_nodes.shape[1]):
         weighted = weighted + weight_pw[:, p] * at_nodes[:, p]
-    panels = corpus.exact_rl_panels(witnesses, config.edges, alpha)
     integrals = panels[:, 0]
     for p in range(1, panels.shape[1]):
         integrals = integrals + panels[:, p]

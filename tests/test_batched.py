@@ -90,6 +90,22 @@ def test_batched_equals_scalar_exactly(k, itv):
         assert not mismatched, mismatched[:3]
 
 
+@pytest.mark.parametrize("itv", INTERVALS, ids=lambda i: f"[{i.a:g},{i.b:g}]")
+@pytest.mark.parametrize("k", (2, 3))
+def test_batched_quadrature_gap_equals_scalar_exactly(k, itv):
+    # Every panel of every row in one oracle call, each row on its own
+    # witness, gives the bits of the one-row calls config_gap makes.
+    cases = list(SCALAR[k][0](itv))[::5]
+    batch = PanelConfigs(itv, [cfg.order.alpha for cfg, _, _ in cases],
+                         [w for _, w, _ in cases], [x for _, _, x in cases])
+    rows = random_lipschitz_arrays(range(len(cases)), itv)
+    gap, converged = engine.panel_quadrature_gap(batch, rows)
+    assert converged.all()
+    want = [engine.config_gap(cfg.panels, rows.witness(i), method="quadrature")
+            for i, (cfg, _, _) in enumerate(cases)]
+    assert gap.tolist() == want
+
+
 @pytest.mark.parametrize("k", (2, 3))
 def test_batched_edges_encodings_and_panel_integrals_exact(k):
     itv = Interval(-3.0, 5.0)

@@ -50,6 +50,8 @@ def test_evaluation_on_a_wide_interval_stays_finite():
     assert values[3] == pytest.approx(4.0e223 - 7.0e223 * (1e223 / 1.783936096400912e223))
     batch = WitnessArrays.repeat(LipschitzWitness(f, lipschitz_constant(f)), 1)
     assert batch(np.array([points])).tolist() == [values]
+    # An array argument is evaluated entrywise, through the batched path.
+    assert f(np.array([points, points[::-1]])).tolist() == [values, values[::-1]]
 
 
 @pytest.mark.parametrize("bps, vals, want", [
