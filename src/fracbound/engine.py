@@ -25,6 +25,9 @@ The batched k-panel evaluator (``panel_gap``, ``panel_bound``,
 audit; its values equal those of the scalar functions (``config_gap``,
 ``hadamard_bound``, ``bullen_bound``, ``verify``) bit for bit, and the
 scalar functions are the reference the tests hold it to.
+``panel_quadrature_gap`` is the batched quadrature path of the verify
+commands' oracle checks, equal bit for bit to ``config_gap`` with method
+"quadrature" on every row that converges.
 """
 
 from __future__ import annotations

@@ -420,12 +420,14 @@ def _checked(result: Integrals, divisor: float) -> float:
     return value
 
 
-def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
+def rl_left(f: Callable[[np.ndarray], np.ndarray], interval: Interval, order: Order,
             upper: float, kinks: Sequence[float] = ()) -> float:
     """Left-kernel fractional integral (1/Gamma(a)) int_a^upper (t-a)^(a-1) f(t) dt.
 
-    The kernel singularity sits at the interval's left endpoint.  `kinks`
-    may list t-locations where f has corners.  Returns 0 when upper == a.
+    The kernel singularity sits at the interval's left endpoint.  f is
+    called on arrays of points and returns its values entrywise (or one
+    value for all).  `kinks` may list t-locations where f has corners.
+    Returns 0 when upper == a.
     """
     a, b = interval.a, interval.b
     if not (a <= upper <= b):
@@ -434,13 +436,13 @@ def rl_left(f: Callable[[float], float], interval: Interval, order: Order,
                     gamma_fn(order.alpha))
 
 
-def rl_right(f: Callable[[float], float], interval: Interval, order: Order,
+def rl_right(f: Callable[[np.ndarray], np.ndarray], interval: Interval, order: Order,
              lower: float, kinks: Sequence[float] = ()) -> float:
     """(1/Gamma(a)) int_lower^b (b-t)^(a-1) f(t) dt: the last panel of :func:`rl_mid`."""
     return rl_mid(f, lower, interval.b, order, kinks)
 
 
-def rl_mid(f: Callable[[float], float], v1: float, v2: float, order: Order,
+def rl_mid(f: Callable[[np.ndarray], np.ndarray], v1: float, v2: float, order: Order,
            kinks: Sequence[float] = ()) -> float:
     """Right-kernel fractional integral over a sub-panel:
 
