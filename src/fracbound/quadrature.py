@@ -306,8 +306,8 @@ def kernel_integrals(h, origin, direction, width, alpha, kinks) -> Integrals:
     s = 0 holds the singular end of the kernel and takes the Gauss-Jacobi
     pair for the weight s^(alpha-1) (exact for a linear integrand); it is
     halved while the two rules disagree by more than the tolerance
-    allows.  Every other piece takes Gauss-Kronrod 10/21 and is bisected
-    likewise.  The error bound of a piece is the difference of its two
+    allows.  Every other piece takes Gauss-Kronrod 10/21 and is split
+    likewise (:func:`_split_points`).  The error bound of a piece is the difference of its two
     rules.  A row meets its tolerance when the sum of its error bounds is
     at most max(ABS_TOL, REL_TOL * |value|); until then each round splits
     every piece of the row whose bound exceeds the row's allowance per
@@ -463,8 +463,6 @@ def abs_moments(x, lower, upper, right, alpha) -> Integrals:
     for row i, the left one otherwise."""
     x, lower, upper = (np.asarray(v, dtype=float) for v in (x, lower, upper))
     right = np.asarray(right, dtype=bool)
-    if not (lower <= upper).all():
-        raise DomainError("need lower <= upper in every row")
     # |x - t| at t = lower + u (left) or t = upper - u (right); its corner
     # sits at u = x - lower or u = upper - x.
     origin = np.where(right, x - upper, x - lower)
