@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from fracbound import __version__, cli, engine
+from fracbound.bounds import abs_moment_closed
 from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
                            cmd_verify_hadamard, main)
 from fracbound.corpus import tent, to_text
-from fracbound.quadrature import DomainError, Interval
+from fracbound.quadrature import DomainError, Integrals, Interval, Order
 
 SMALL = RunConfig(trials=10)
 
@@ -425,3 +426,40 @@ def test_nonconverging_oracle_check_is_a_breach_whatever_its_estimate(estimate, 
         assert max(resids) <= 1e-15
     else:
         assert resids == [math.inf] * 4
+
+
+@pytest.mark.parametrize("estimate", ["closed", math.nan])
+def test_nonconverging_identity_check_is_a_breach_whatever_its_estimate(estimate, monkeypatch,
+                                                                         tmp_path, capsys):
+    # check-identities' oracle gives up on every moment: each moment record
+    # is a residual breach, counted in residual_breaches, even when the
+    # estimate equals the closed form; a NaN estimate records an infinite
+    # residual.
+    def gives_up(x, lower, upper, right, alpha):
+        order = Order(alpha)
+        if estimate == "closed":
+            value = [abs_moment_closed(xi, lo, hi, order) if r
+                     else abs_moment_closed(-xi, -hi, -lo, order)
+                     for xi, lo, hi, r in zip(x, lower, upper, right)]
+        else:
+            value = [estimate] * len(x)
+        n = len(x)
+        return Integrals(np.array(value, float), np.full(n, math.inf), np.zeros(n, bool))
+
+    monkeypatch.setattr(cli, "abs_moments", gives_up)
+    run = RunConfig(alpha_grid=(0.5, 2.0))
+    rep = cmd_check_identities(run)
+    resids = [r["residual"] for r in rep.records if r["kind"] == "moment"]
+    assert len(resids) > 0
+    assert rep.oracle_failures == rep.aggregate["residual_breaches"] == len(resids)
+    assert "oracle_residual_breaches" not in rep.aggregate
+    if estimate == "closed":
+        assert max(resids) <= 1e-15
+    else:
+        assert resids == [math.inf] * len(resids)
+        assert rep.aggregate["max_residual"] == math.inf
+    out = tmp_path / "report.json"
+    assert main(["check-identities", "--alpha", "0.5", "--alpha", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert (f"{len(resids)} oracle checks did not converge; each counts in the aggregate's "
+            f"residual_breaches") in err

@@ -18,10 +18,11 @@ import hashlib
 import json
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from fracbound.bounds import v_bullen, v_hadamard
-from fracbound.cli import (RunConfig, VerificationReport, cmd_audit_corollaries,
+from fracbound.cli import (RunConfig, VerificationReport, _f17, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
                            cmd_verify_hadamard, main)
 from fracbound.corpus import random_lipschitz, to_text
@@ -221,7 +222,8 @@ def test_breakdown_golden_digest():
 
 
 # ----------------------------------------------------------------------
-# JSON writer: same bytes as json.dumps(indent=1)
+# Report writers: the same bytes as json.dumps(indent=1) and as one
+# _f17 call per CSV field
 # ----------------------------------------------------------------------
 
 def _reference_json(rep: VerificationReport) -> bytes:
@@ -232,7 +234,19 @@ def _reference_json(rep: VerificationReport) -> bytes:
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("build", [
+def _reference_csv(rep: VerificationReport) -> bytes:
+    """The CSV report with its record lines written one record and one _f17
+    field at a time; the header, aggregate and erratum lines are the
+    writer's own."""
+    lines = rep.to_csv_bytes().decode("utf-8").split("\n")
+    head = lines.index(",".join(rep.columns)) + 1
+    tail = len(rep.aggregate) + len(rep.errata) + 1
+    records = [",".join(_f17(rec[c]) if c in rec else "" for c in rep.columns)
+               for rec in rep.records]
+    return "\n".join(lines[:head] + records + lines[-tail:]).encode("utf-8")
+
+
+REPORT_BUILDS = pytest.mark.parametrize("build", [
     lambda: cmd_verify_hadamard(RunConfig(trials=12)),
     lambda: cmd_verify_bullen(RunConfig(trials=12, interval=Interval(-3.0, 5.0))),
     lambda: cmd_check_identities(RunConfig(trials=1, alpha_grid=(0.5, 2.0))),
@@ -241,9 +255,18 @@ def _reference_json(rep: VerificationReport) -> bytes:
     lambda: cmd_sweep(RunConfig(trials=1, alpha_grid=(0.5,)), "bullen"),
 ], ids=["verify-hadamard", "verify-bullen", "check-identities", "audit-corollaries",
         "sweep-hadamard", "sweep-bullen"])
+
+
+@REPORT_BUILDS
 def test_json_writer_matches_indent1_on_reports(build):
     rep = build()
     assert rep.to_json_bytes() == _reference_json(rep)
+
+
+@REPORT_BUILDS
+def test_csv_writer_matches_per_field_text_on_reports(build):
+    rep = build()
+    assert rep.to_csv_bytes() == _reference_csv(rep)
 
 
 SYNTHETIC_COLUMNS = ("i", "f", "b", "n", "s")
@@ -269,3 +292,22 @@ def test_json_writer_matches_indent1_on_synthetic_records(records):
                              records, {"evaluations": len(records), "x": float("inf")},
                              [{"formula_id": "f", "witness_params": {"alpha": 1.0}}])
     assert rep.to_json_bytes() == _reference_json(rep)
+
+
+@pytest.mark.parametrize("records", [
+    SYNTHETIC_RECORDS,
+    [{"i": 1, "f": 0.5}, {"i": 2.5, "f": 3}, {"i": 2 ** 70, "f": -0.0}],
+    [{"i": np.int64(3), "f": np.float64(0.1), "n": np.float64("nan")},
+     {"i": np.int64(-1), "f": np.float64(1e-310), "n": np.float64("-inf")}],
+    [{"i": 1, "f": 0.5, "s": "a"}, {"s": "b", "f": 1.5, "i": 2}, {"f": 2.5, "i": 3, "s": "c"}],
+    [],
+    [{}],
+    [{}, {"i": 1}, {}, {"s": "%s %% %(x)s"}],
+], ids=["scalars", "mixed-int-float", "numpy-scalars", "reordered-keys", "empty-list",
+        "empty-record", "key-runs"])
+def test_csv_writer_matches_per_field_text_on_synthetic_records(records):
+    rep = VerificationReport("synthetic", RunConfig(trials=1, fmt="csv"), SYNTHETIC_COLUMNS,
+                             records, {"evaluations": len(records), "x": float("inf")},
+                             [{"formula_id": "f", "max_abs_deviation": 0.25,
+                               "witness_params": {"alpha": 1.0}}])
+    assert rep.to_csv_bytes() == _reference_csv(rep)
