@@ -10,31 +10,29 @@ coefficient is a sum of panel moments
 
     int over panel |node - t| * (power kernel)^(alpha-1) dt
 
-and one closed form, :func:`abs_moment_closed`, gives each of them: the
-right-kernel moment for any node, and the left-kernel moment as the same
-function on the negated panel.  Two independent encodings are kept for the
-full two-panel and three-panel coefficients:
+and one closed form gives each: the right-kernel moment for any node, the
+left-kernel moment being the same function on the negated panel.
+:func:`abs_moment_closed` is its scalar form, the tests' reference; the
+commands run only the array form :func:`abs_moments_closed`, equal bit for
+bit.  Two encodings of each coefficient share no expression:
 
   * a per-panel literal term list: each panel adds a node term, and a
     corner ("kink") term when its node lies inside it, written out for the
-    branch the node takes against the panel's edges (``_panel_literal``);
-    the tuple of branches names the ordering, one of 3 for two nodes and
-    of 8 for three, and
-  * the sum of the panel moments.
+    branch the node takes against the panel's edges (``_panel_literal``;
+    ``_panel_forms`` in the batched ``v_panels``); the tuple of branches
+    names the ordering, one of 3 for two nodes and of 8 for three, and
+  * the sum of the closed panel moments.
 
-``v_hadamard`` / ``v_bullen`` evaluate both and raise
+``v_hadamard``/``v_bullen`` and ``v_panels`` evaluate both and raise
 :class:`InconsistencyError` if they disagree beyond 1e-12 relative, which
-catches transcription slips in either encoding.  The moment assembly is
-the encoding that is pinned against the adaptive-quadrature oracle in the
-test suite, so agreement chains both encodings down to raw quadrature.
-The literal three-point corner-weight coefficient (``n_coeff`` orderings
-7 and 8) intentionally keeps a mirrored middle-panel bracket so the audit
-can measure it; see ``n_coeff``.
+catches a transcription slip in either.  check-identities holds the array
+closed form to the quadrature oracle, so agreement chains both encodings
+down to raw quadrature.  ``n_coeff`` orderings 7 and 8 keep the printed,
+mirrored middle-panel bracket on purpose, for the audit to measure.
 
-At exact ordering boundaries a node on a panel's right edge takes the
-upper branch and a node on a right-kernel panel's left edge the middle
-one; adjacent branches agree there (continuity), so the choice never
-changes a value.
+At an ordering boundary a node on a panel's right edge takes the upper
+branch, and a node on a right-kernel panel's left edge the middle one
+(the lower one in the closed form); adjacent branches agree there.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ __all__ = [
     "PanelConfig",
     "PanelConfigs",
     "abs_moment_closed",
+    "abs_moments_closed",
     "bullen_remark_coeff",
     "l_coeff",
     "l_coeff_reference",
@@ -106,6 +105,31 @@ def abs_moment_closed(y: float, lo: float, hi: float, order: Order) -> float:
         return (2.0 * _pw(r, alpha + 1.0) / (alpha * (alpha + 1.0))
                 + _pw(w, alpha) * (w / (alpha + 1.0) - r / alpha))
     return _pw(w, alpha) * (r / alpha - w / (alpha + 1.0))
+
+
+def abs_moments_closed(y, lo, hi, alpha) -> np.ndarray:
+    """:func:`abs_moment_closed` of every entry of the broadcast arguments,
+    bit for bit: the same branches and order of operations, the corner
+    power taken on middle-branch entries only.  A power that overflows
+    raises OverflowError, as ``**`` does; a product or quotient that
+    overflows gives inf or NaN, as Python floats do, with no RuntimeWarning.
+    """
+    y, lo, hi, alpha = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                             for v in (y, lo, hi, alpha)))
+    _first_bad(hi < lo, lambda i: f"need lo <= hi, got {lo.flat[i]} > {hi.flat[i]}")
+    upper = y >= hi
+    middle = ~upper & (y > lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha1 = alpha + 1.0
+        w = hi - lo
+        r = hi - y
+        pw = power_array(w, alpha)
+        corner = np.zeros(r.shape)
+        corner[middle] = power_array(r[middle], alpha1[middle])
+        return np.where(upper, pw * ((y - hi) / alpha + w / alpha1),
+                        np.where(middle, 2.0 * corner / (alpha * alpha1)
+                                 + pw * (w / alpha1 - r / alpha),
+                                 pw * (r / alpha - w / alpha1)))
 
 
 class PanelConfig(NamedTuple):
@@ -405,7 +429,7 @@ def _first_bad(bad: np.ndarray, message) -> None:
 
 
 def _panel_forms(cfg: PanelConfigs) -> list:
-    """Per-panel pieces shared by the two encodings of :func:`v_panels`.
+    """Per-panel expressions of the literal encoding of :func:`v_panels`.
 
     One ``(forms, kink)`` pair per panel p (width w, node y): ``forms``
     maps each ordering branch to its node term, "upper" for a node at or
@@ -413,7 +437,7 @@ def _panel_forms(cfg: PanelConfigs) -> list:
     inside, "lower" for a node before a right-kernel panel; ``kink`` is the
     corner term 2*dist^(alpha+1)/(alpha*(alpha+1)) of the middle branch,
     dist being the node's distance from the anchor.  Every expression is
-    the scalar code's, in its order of operations.
+    that of ``_panel_literal``, in its order of operations.
     """
     alpha = cfg.alpha
     alpha1 = alpha + 1.0
@@ -441,67 +465,43 @@ def _panel_forms(cfg: PanelConfigs) -> list:
     return parts
 
 
-def _branches(cfg: PanelConfigs, p: int, tie_low: bool) -> dict:
-    """Row masks of the ordering branch each row takes in panel p.
-
-    The left panel's node never lies before it; the last panel's never
-    past b, so that panel has no upper branch.  ``tie_low`` sends a node
-    on a right-kernel panel's left edge to the lower branch, as
-    abs_moment_closed does; the literal term lists send it to the middle.
-    """
-    y, lo, hi = cfg.nodes[:, p], cfg.edges[:, p], cfg.edges[:, p + 1]
-    if p == 0:
-        upper = y >= hi
-        return {"upper": upper, "middle": ~upper}
-    upper = (y >= hi) if p < cfg.nodes.shape[1] - 1 else np.zeros(len(y), dtype=bool)
-    lower = (y <= lo) if tie_low else (y < lo)
-    return {"upper": upper, "middle": ~upper & ~lower, "lower": lower}
-
-
-def _literal_terms(cfg: PanelConfigs, parts: list):
+def _literal_terms(cfg: PanelConfigs):
     """Per-panel literal encoding (v_hadamard/v_bullen term lists):
     terms (n, 2k), a (kink, node) pair per panel, and a mask of the terms
-    each row's ordering has."""
+    each row's ordering has.  The last panel has no upper branch; a node on
+    a right-kernel panel's left edge takes the middle one."""
     n, k = cfg.nodes.shape
     terms = np.zeros((n, 2 * k))
     present = np.ones((n, 2 * k), dtype=bool)
-    for p, (forms, kink) in enumerate(parts):
-        branches = _branches(cfg, p, tie_low=False)
-        for name, mask in branches.items():
-            terms[:, 2 * p + 1] = np.where(mask, forms[name], terms[:, 2 * p + 1])
-        terms[:, 2 * p] = np.where(branches["middle"], kink, 0.0)
-        present[:, 2 * p] = branches["middle"]
+    for p, (forms, kink) in enumerate(_panel_forms(cfg)):
+        y, lo, hi = cfg.nodes[:, p], cfg.edges[:, p], cfg.edges[:, p + 1]
+        upper = (y >= hi) & (p < k - 1)
+        middle = ~upper & (y >= lo)
+        node = np.where(upper, forms["upper"], forms["middle"])
+        terms[:, 2 * p + 1] = node if p == 0 else np.where(middle | upper, node, forms["lower"])
+        terms[:, 2 * p] = np.where(middle, kink, 0.0)
+        present[:, 2 * p] = middle
     return terms, present
-
-
-def _assembled_moments(cfg: PanelConfigs, parts: list) -> np.ndarray:
-    """Moment-function encoding: panel moments (n, k) as
-    abs_moment_closed computes them (the first panel reflected)."""
-    moments = np.zeros(cfg.nodes.shape)
-    for p, (forms, kink) in enumerate(parts):
-        for name, mask in _branches(cfg, p, tie_low=True).items():
-            value = kink + forms[name] if name == "middle" else forms[name]
-            moments[:, p] = np.where(mask, value, moments[:, p])
-    return moments
 
 
 def v_panels(cfg: PanelConfigs) -> np.ndarray:
     """Bound coefficient of every row: :func:`v_hadamard` (k = 2) or
     :func:`v_bullen` (k = 3) ``.total``, bit for bit.
 
-    The total is the math.fsum of the row's literal terms.  The moment
-    assembly is summed as the scalar code sums it, and the scalar checks
-    run: disagreement beyond DUAL_PATH_RTOL and a total below -1e-12 raise
-    InconsistencyError, naming the first row at fault.
+    The total is the math.fsum of the row's literal terms; the moment
+    encoding sums :func:`abs_moments_closed` over the panels (the first
+    reflected) as ``_breakdown`` does.  Disagreement beyond DUAL_PATH_RTOL
+    and a total below -1e-12 raise InconsistencyError, naming the first
+    row at fault.
     """
-    parts = _panel_forms(cfg)
-    terms, present = _literal_terms(cfg, parts)
+    terms, present = _literal_terms(cfg)
     total = np.array([math.fsum(compress(row, keep))
                       for row, keep in zip(terms.tolist(), present.tolist())])
-    moments = _assembled_moments(cfg, parts)
-    assembled = moments[:, 0]
-    for p in range(1, moments.shape[1]):
-        assembled = assembled + moments[:, p]
+    edges, nodes = cfg.edges, cfg.nodes
+    assembled = abs_moments_closed(-nodes[:, 0], -edges[:, 1], -edges[:, 0], cfg.alpha)
+    for p in range(1, nodes.shape[1]):
+        assembled = assembled + abs_moments_closed(nodes[:, p], edges[:, p], edges[:, p + 1],
+                                                   cfg.alpha)
     bad = np.abs(total - assembled) > DUAL_PATH_RTOL * np.maximum(1.0, np.abs(assembled))
     if bad.any():
         i = int(np.argmax(bad))

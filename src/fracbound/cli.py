@@ -31,17 +31,17 @@ Quadrature oracle: the records of every tenth verify trial are
 re-evaluated by quadrature, every panel of every such record in one call
 of the batched Gauss-Jacobi / Gauss-Kronrod integrator
 (:func:`fracbound.engine.panel_quadrature_gap`, equal bit for bit to
-``config_gap`` with method "quadrature" on each record's row), and
-check-identities checks each order's panel moments in one such call
-(:func:`fracbound.quadrature.abs_moments`).  An oracle check whose
-quadrature does not converge counts as a residual breach, and stderr
-names the number of such checks and the aggregate key that counts them.
-The oracle is numpy only; QUADPACK serves as the reference in the test
-suite alone.  check-identities draws its samples once per run (a
-sample's stream does not depend on the order) and checks each one at
-every order of the grid; its continuity probes run through one
-``PanelConfigs`` and ``v_panels`` pass per node count, covering every
-order.
+``config_gap`` with method "quadrature" on each record's row).
+check-identities draws its samples once per run (a sample's stream does
+not depend on the order), computes their closed panel moments at every
+order in one :func:`fracbound.bounds.abs_moments_closed` pass, and checks
+each order's in one :func:`fracbound.quadrature.abs_moments` call; its
+continuity probes run through one ``PanelConfigs`` and ``v_panels`` pass
+per node count.  Both commands judge residuals by one rule
+(:func:`_oracle_residuals`): a check whose quadrature does not converge is
+a breach, and stderr names the number of such checks and the aggregate
+key that counts them.  The oracle is numpy only; QUADPACK serves as the
+reference in the test suite alone.
 
 Fixed parameters: witness slopes are bounded by M_MAX, the sweep grids
 are SWEEP_LAMBDAS, SWEEP_DELTAS and SWEEP_ETAS, and check-identities
@@ -75,12 +75,11 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from itertools import chain, cycle, groupby, product
 
 import numpy as np
 
 from . import __version__, bounds, corpus, engine
-from .bounds import abs_moment_closed
 from .quadrature import DomainError, Interval, Order, abs_moments, gamma_fn
 
 __all__ = [
@@ -121,6 +120,8 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not self.alpha_grid:
@@ -283,8 +284,16 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _relative_residual(got: float, want: float) -> float:
-    return abs(got - want) / max(1.0, abs(want))
+def _oracle_residuals(closed, quad, converged):
+    """(residuals, their maximum skipping NaN, breach count) of oracle
+    checks.  The residual is |closed - quad| / max(1, |quad|), inf where the
+    quadrature gave up with a non-finite estimate; a check breaches above
+    RESIDUAL_LIMIT or when its quadrature did not converge."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(closed - quad) / np.maximum(1.0, np.abs(quad))
+    resid[~(converged | np.isfinite(quad))] = math.inf
+    breaches = int(np.count_nonzero((resid > RESIDUAL_LIMIT) | ~converged))
+    return resid, float(np.fmax.reduce(resid, initial=0.0)), breaches
 
 
 # Weight and node columns of each soundness sweep; the node count is the
@@ -371,14 +380,9 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     quad_cfg = bounds.PanelConfigs(run.interval, cfg.alpha[checked], weights[rows[checked]],
                                    nodes[rows[checked]])
     quad_gap, converged = engine.panel_quadrature_gap(quad_cfg, record_witnesses.take(checked))
-    max_resid = 0.0
-    resid_breaches = 0
-    for row, gq, ok in zip(checked.tolist(), quad_gap.tolist(), converged.tolist()):
-        rec = records[row]
-        resid = _relative_residual(rec["gap"], gq) if ok or math.isfinite(gq) else math.inf
-        rec["oracle_residual"] = resid
-        max_resid = max(max_resid, resid)
-        resid_breaches += resid > RESIDUAL_LIMIT or not ok
+    resid, max_resid, resid_breaches = _oracle_residuals(gap[checked], quad_gap, converged)
+    for row, r in zip(checked.tolist(), resid.tolist()):
+        records[row]["oracle_residual"] = r
     aggregate = {
         "evaluations": len(records),
         "violations": int(np.count_nonzero(~passed)),
@@ -460,88 +464,12 @@ def _three_node_sample(case: int, k: int, rng, a: float, b: float):
     return (x, y, z), (a, v1, v2, b)
 
 
-def _panel_moments(nodes: tuple, edges: tuple) -> list:
-    """(panel, node, lower, upper) of every panel moment of a sample: the
-    left kernel on the first panel, the right kernel on the others."""
-    last = len(nodes) - 1
-    return [("left" if p == 0 else "right" if p == last else "mid", nodes[p], edges[p],
-             edges[p + 1]) for p in range(len(nodes))]
-
-
-def _closed_moment(panel: str, node: float, lower: float, upper: float, order: Order) -> float:
-    """The closed form of a panel moment; the left kernel's is the right
-    kernel's on the negated panel."""
-    if panel == "left":
-        return abs_moment_closed(-node, -upper, -lower, order)
-    return abs_moment_closed(node, lower, upper, order)
-
-
-def _continuity_probes(interval: Interval, grid: tuple, eps: float):
-    """Yield (alpha, boundary_tag, value_below, value_above) for each case
-    split at every order of the grid, alpha-major.  The probes of each node
-    count go through one batched k-panel pass covering every order."""
-    a, b = interval.a, interval.b
-    span = b - a
-    # (tag, weights, nodes below, nodes above) of each probe
-    lam = 0.4
-    v = a + lam * span
-    probes = [("two_node_x_at_V", (lam, 1.0 - lam), (v - eps, a + 0.8 * span),
-               (v + eps, a + 0.8 * span))]
-    lam = 0.6
-    v = a + lam * span
-    probes.append(("two_node_y_at_V", (lam, 1.0 - lam), (a + 0.2 * span, v - eps),
-                   (a + 0.2 * span, v + eps)))
-
-    lam, eta = 0.3, 0.4
-    weights = (lam, eta, 1.0 - lam - eta)
-    v1 = a + lam * span
-    v2 = a + (lam + eta) * span
-    ymid = (v1 + v2) / 2.0
-    zmid = (v2 + b) / 2.0
-    xlow = a + 0.1 * span
-    probes += [
-        ("three_node_x_at_V1", weights, (v1 - eps, ymid, zmid), (v1 + eps, ymid, zmid)),
-        ("three_node_y_at_V1", weights, (xlow, v1 - eps, zmid), (xlow, v1 + eps, zmid)),
-        ("three_node_y_at_V2", weights, (xlow, v2 - eps, zmid), (xlow, v2 + eps, zmid)),
-        ("three_node_z_at_V2", weights, (xlow, ymid, v2 - eps), (xlow, ymid, v2 + eps)),
-    ]
-
-    # (alpha, tag, weights, nodes) rows, the value below then the one above
-    rows = [(alpha, tag, weights, nodes) for alpha in grid
-            for tag, weights, below, above in probes for nodes in (below, above)]
-    values = [0.0] * len(rows)
-    for k in (2, 3):
-        index = [i for i, row in enumerate(rows) if len(row[2]) == k]
-        alpha, _, weights, nodes = zip(*(rows[i] for i in index))
-        totals = bounds.v_panels(bounds.PanelConfigs(interval, alpha, weights, nodes))
-        for i, total in zip(index, totals.tolist()):
-            values[i] = total
-    for i in range(0, len(rows), 2):
-        yield rows[i][0], rows[i][1], values[i], values[i + 1]
-
-
-def cmd_check_identities(run: RunConfig) -> VerificationReport:
-    """Validate every closed-form panel moment against the quadrature oracle.
-
-    Samples the same number of configurations for each of the 3 two-node
-    and 8 three-node orderings, enough for at least 500 samples in all at
-    every grid order.  Each sample is drawn once per run, from a stream
-    that does not depend on the order, and checked at every order, each
-    order's residuals in one array pass over the oracle's values.
-    Reports the worst relative residual and probes value continuity across
-    each case boundary at +-1e-9 (b - a) offsets.
-
-    The aggregates count in two units: ``evaluations`` counts samples x
-    orders, while ``residual_breaches`` counts panel-moment records (two
-    or three per sample and order) and ``violations`` counts those plus
-    the continuity records that breach.
-    """
-    t0 = time.perf_counter()
+def _identity_moments(run: RunConfig):
+    """The number of check-identities samples (as many per ordering case,
+    at least 500 over the grid's orders) and the (case tag, panel, node,
+    lower, upper) of their panel moments, the left kernel's first."""
     per_case = max(12, -(-500 // (11 * len(run.alpha_grid))))
     a, b = run.interval.a, run.interval.b
-    records = []
-    max_resid = 0.0
-    resid_breaches = 0
     # (case prefix, orderings, stream offset, sampler) of each node count.
     families = (
         ("two_node", 3, 10_000, lambda case, k, rng: _two_node_sample(case, rng, a, b)),
@@ -553,36 +481,106 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
              for family, cases, offset, sample in families
              for case in range(1, cases + 1)
              for k in range(per_case)]
-    moments = [(tag, *moment) for tag, nodes, edges in drawn
-               for moment in _panel_moments(nodes, edges)]
-    tags, panels, x, lower, upper = zip(*moments)
-    right = [panel != "left" for panel in panels]
-    failures = 0
-    for alpha in run.alpha_grid:
-        order = Order(alpha)
-        closed = [_closed_moment(*moment[1:], order) for moment in moments]
-        quad = abs_moments(x, lower, upper, right, alpha)
-        # The residual of _relative_residual where the oracle converged or
-        # gave up with a finite estimate, inf where it gave up otherwise.
-        checked = quad.converged | np.isfinite(quad.value)
-        want = quad.value[checked]
-        resid = np.full(len(moments), math.inf)
-        resid[checked] = np.abs(np.array(closed)[checked] - want) / np.maximum(1.0, np.abs(want))
-        failures += int(np.count_nonzero(~quad.converged))
-        # fmax skips a NaN residual, as Python's max does after 0.0.
-        max_resid = max(max_resid, float(np.fmax.reduce(resid, initial=0.0)))
-        resid_breaches += int(np.count_nonzero((resid > RESIDUAL_LIMIT) | ~quad.converged))
-        records += [{"kind": "moment", "case": tag, "alpha": alpha, "panel": panel,
-                     "closed": c, "quad": q, "residual": r}
-                    for tag, panel, c, q, r in zip(tags, panels, closed, quad.value.tolist(),
-                                                   resid.tolist())]
+    return len(drawn), [(tag, "left" if p == 0 else "right" if p == len(nodes) - 1 else "mid",
+                         nodes[p], edges[p], edges[p + 1])
+                        for tag, nodes, edges in drawn for p in range(len(nodes))]
+
+
+def _continuity_probes(interval: Interval, grid: tuple, eps: float):
+    """Yield (alpha, boundary_tag, value_below, value_above, slack) for each
+    case split at every order of the grid, alpha-major.  Each probe moves
+    one node across a panel edge, to eps below and above its nominal place
+    a + P (b - a) and at least to the float neighbours of the edge the
+    evaluator computes, but never past an adjacent node or out of [a, b].
+    ``slack`` is the most a continuous bound moves over the part of that
+    step beyond 2 eps: the node's panel moment changes at most at the rate
+    w^alpha/alpha, w being the panel's width.  The probes of each node count
+    go through one batched k-panel pass covering every order."""
+    a, b = interval.a, interval.b
+    span = b - a
+    lam, eta = 0.3, 0.4
+    three = (lam, eta, 1.0 - lam - eta)
+    v1, v2 = a + lam * span, a + (lam + eta) * span
+    ymid, zmid, xlow = (v1 + v2) / 2.0, (v2 + b) / 2.0, a + 0.1 * span
+    # (tag, weights, nodes with the moving one at its nominal place, index
+    # of the moving node, index of the edge it crosses) of each probe
+    probes = [
+        ("two_node_x_at_V", (0.4, 1.0 - 0.4), (a + 0.4 * span, a + 0.8 * span), 0, 1),
+        ("two_node_y_at_V", (0.6, 1.0 - 0.6), (a + 0.2 * span, a + 0.6 * span), 1, 1),
+        ("three_node_x_at_V1", three, (v1, ymid, zmid), 0, 1),
+        ("three_node_y_at_V1", three, (xlow, v1, zmid), 1, 1),
+        ("three_node_y_at_V2", three, (xlow, v2, zmid), 1, 2),
+        ("three_node_z_at_V2", three, (xlow, ymid, v2), 2, 2),
+    ]
+    sides = []
+    for tag, weights, nodes, i, p in probes:
+        edges = bounds.PanelConfigs(interval, [1.0], [weights], [(a,) * len(nodes)]).edges
+        edge, width = edges[0, p].item(), (edges[0, i + 1] - edges[0, i]).item()
+        lo, hi = (a, *nodes, b)[i:i + 3:2]
+        below = max(lo, min(nodes[i] - eps, math.nextafter(edge, -math.inf)))
+        above = min(hi, max(nodes[i] + eps, math.nextafter(edge, math.inf)))
+        sides.append((tag, weights, *(nodes[:i] + (t,) + nodes[i + 1:] for t in (below, above)),
+                      max(0.0, above - below - 2.0 * eps), width))
+
+    # (alpha, weights, nodes) rows, the value below then the one above
+    rows = [(alpha, weights, nodes) for alpha in grid
+            for _, weights, below, above, _, _ in sides for nodes in (below, above)]
+    values = [0.0] * len(rows)
+    for k in (2, 3):
+        index = [i for i, row in enumerate(rows) if len(row[1]) == k]
+        alpha, weights, nodes = zip(*(rows[i] for i in index))
+        totals = bounds.v_panels(bounds.PanelConfigs(interval, alpha, weights, nodes))
+        for i, total in zip(index, totals.tolist()):
+            values[i] = total
+    for (alpha, _, _), below, above, (tag, *_, extra, width) in zip(
+            rows[::2], values[::2], values[1::2], cycle(sides)):
+        yield alpha, tag, below, above, extra * width ** alpha / alpha
+
+
+def cmd_check_identities(run: RunConfig) -> VerificationReport:
+    """Validate every closed-form panel moment against the quadrature oracle.
+
+    Samples the same number of configurations for each of the 3 two-node
+    and 8 three-node orderings (:func:`_identity_moments`), each drawn once
+    per run and checked at every grid order: the closed moments of every
+    order in one :func:`fracbound.bounds.abs_moments_closed` pass, the
+    oracle in one call per order (a call over all orders would hold every
+    order's integrand samples at once), the residuals in one
+    :func:`_oracle_residuals` pass.  Reports the worst relative residual
+    and probes value continuity across each case boundary
+    (:func:`_continuity_probes`).
+
+    The aggregates count in two units: ``evaluations`` counts samples x
+    orders, while ``residual_breaches`` counts panel-moment records (two
+    or three per sample and order) and ``violations`` counts those plus
+    the continuity records that breach.
+    """
+    t0 = time.perf_counter()
+    samples, moments = _identity_moments(run)
+    tags, panels, *coords = zip(*moments)
+    x, lower, upper = map(np.array, coords)
+    right = np.array([panel != "left" for panel in panels])
+    grid = run.alpha_grid
+    # Every order's closed forms in one pass, order-major; the left
+    # kernel's moment is the right kernel's on the negated panel.
+    closed = bounds.abs_moments_closed(np.where(right, x, -x), np.where(right, lower, -upper),
+                                       np.where(right, upper, -lower),
+                                       np.array(grid)[:, None]).ravel()
+    quads = [abs_moments(x, lower, upper, right, alpha) for alpha in grid]
+    quad = np.concatenate([q.value for q in quads])
+    converged = np.concatenate([q.converged for q in quads])
+    resid, max_resid, resid_breaches = _oracle_residuals(closed, quad, converged)
+    records = [{"kind": "moment", "case": tag, "alpha": alpha, "panel": panel, "closed": c,
+                "quad": q, "residual": r} for (alpha, (tag, panel)), c, q, r
+               in zip(product(grid, zip(tags, panels)), closed.tolist(), quad.tolist(),
+                      resid.tolist())]
 
     max_delta = 0.0
     continuity_breaches = 0
-    for alpha, tag, below, above in _continuity_probes(run.interval, run.alpha_grid,
-                                                       1e-9 * (b - a)):
+    for alpha, tag, below, above, slack in _continuity_probes(run.interval, grid,
+                                                              1e-9 * run.interval.width):
         delta = abs(above - below)
-        limit = CONTINUITY_LIMIT * (1.0 + max(abs(below), abs(above)))
+        limit = CONTINUITY_LIMIT * (1.0 + max(abs(below), abs(above))) + slack
         normalized = delta / (1.0 + max(abs(below), abs(above)))
         max_delta = max(max_delta, normalized)
         continuity_breaches += delta > limit
@@ -590,7 +588,7 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
                         "closed": below, "quad": above, "residual": normalized})
 
     aggregate = {
-        "evaluations": len(drawn) * len(run.alpha_grid),
+        "evaluations": samples * len(grid),
         "violations": resid_breaches + continuity_breaches,
         "max_residual": max_resid,
         "residual_breaches": resid_breaches,
@@ -599,7 +597,7 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
     }
     columns = ("kind", "case", "alpha", "panel", "closed", "quad", "residual")
     return VerificationReport("check-identities", run, columns, records, aggregate,
-                              [], time.perf_counter() - t0, failures)
+                              [], time.perf_counter() - t0, int(np.count_nonzero(~converged)))
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from fracbound import bounds, engine
 from fracbound.bounds import (BullenConfig, HadamardConfig, InconsistencyError,
-                              PanelConfigs, v_bullen, v_hadamard)
+                              PanelConfigs, abs_moments_closed, v_bullen, v_hadamard)
 from fracbound.cli import RunConfig, cmd_sweep, cmd_verify_bullen, cmd_verify_hadamard
 from fracbound.corpus import (WitnessArrays, exact_rl_left, exact_rl_mid,
                               exact_rl_panels, exact_rl_right, random_lipschitz,
@@ -112,11 +112,11 @@ def test_batched_edges_encodings_and_panel_integrals_exact(k):
     cases = list(SCALAR[k][0](itv))
     batch = PanelConfigs(itv, [cfg.order.alpha for cfg, _, _ in cases],
                          [w for _, w, _ in cases], [x for _, _, x in cases])
-    parts = bounds._panel_forms(batch)
-    moments = bounds._assembled_moments(batch, parts)
-    assembled = moments[:, 0]
+    nodes, edges = batch.nodes, batch.edges
+    assembled = abs_moments_closed(-nodes[:, 0], -edges[:, 1], -edges[:, 0], batch.alpha)
     for p in range(1, k):
-        assembled = assembled + moments[:, p]
+        assembled = assembled + abs_moments_closed(nodes[:, p], edges[:, p], edges[:, p + 1],
+                                                   batch.alpha)
     breakdowns = [SCALAR[k][3](cfg) for cfg, _, _ in cases]
     assert assembled.tolist() == [bd.cross_total for bd in breakdowns]
     assert bounds.v_panels(batch).tolist() == [bd.total for bd in breakdowns]
@@ -240,10 +240,28 @@ def test_corrupted_literal_term_raises(sweep, monkeypatch):
 
 @pytest.mark.parametrize("sweep", (cmd_verify_hadamard, cmd_verify_bullen))
 def test_corrupted_assembled_moment_raises(sweep, monkeypatch):
-    monkeypatch.setattr(bounds, "_assembled_moments",
-                        _corrupt(bounds._assembled_moments, (7, 1), -1e-6))
+    # row 7 of every panel moment
+    monkeypatch.setattr(bounds, "abs_moments_closed",
+                        _corrupt(bounds.abs_moments_closed, 7, -1e-6))
     with pytest.raises(InconsistencyError, match="row 7"):
         sweep(RunConfig(trials=3))
+
+
+@pytest.mark.parametrize("sweep", (cmd_verify_hadamard, cmd_verify_bullen))
+def test_slip_in_a_literal_panel_expression_raises(sweep, monkeypatch):
+    # The moment encoding shares no expression with the literal one, so a
+    # slip in one per-panel literal expression (here the middle-branch
+    # node term of panel 1, off by 1e-3 relative) reaches the guard.
+    panel_forms = bounds._panel_forms
+
+    def slipped(cfg):
+        parts = panel_forms(cfg)
+        parts[1][0]["middle"] *= 1.0 + 1e-3
+        return parts
+
+    monkeypatch.setattr(bounds, "_panel_forms", slipped)
+    with pytest.raises(InconsistencyError, match="literal="):
+        sweep(RunConfig(trials=200))
 
 
 def test_negative_bound_total_raises(monkeypatch):
@@ -255,7 +273,7 @@ def test_negative_bound_total_raises(monkeypatch):
             return out
         return inner
     monkeypatch.setattr(bounds, "_literal_terms", negated(bounds._literal_terms))
-    monkeypatch.setattr(bounds, "_assembled_moments", negated(bounds._assembled_moments))
+    monkeypatch.setattr(bounds, "abs_moments_closed", negated(bounds.abs_moments_closed))
     with pytest.raises(InconsistencyError, match="nonnegative"):
         cmd_verify_bullen(RunConfig(trials=2))
 

@@ -12,9 +12,9 @@ import re
 import numpy as np
 import pytest
 
-from fracbound import bounds
+from fracbound import bounds, cli
 from fracbound.bounds import (BoundBreakdown, BullenConfig, HadamardConfig,
-                              InconsistencyError, abs_moment_closed,
+                              InconsistencyError, abs_moment_closed, abs_moments_closed,
                               bullen_remark_coeff, l_coeff, l_coeff_reference,
                               n_case_index, n_coeff, n_coeff_reference,
                               simpson_remark_coeff, unit_order_two_point_table,
@@ -122,6 +122,59 @@ def test_moments_match_quadrature_oracle(alpha):
         got = abs_moment_closed(y, a, v, order)
         want = abs_moment_quadrature(y, a, v, "right", order)
         assert abs(got - want) <= max(1e-10, 1e-8 * abs(want))
+
+
+# The 39 orders of the identities benchmark, the low end of the order
+# range, and orders at which powers and products grow large.
+ARRAY_GRID = tuple(0.25 + k * 0.125 for k in range(39)) + (1e-6, 2e-6, 1e-3, 100.0, 170.0)
+
+
+def same_bits(got, want):
+    # repr tells -0.0 from 0.0 and inf from nan.
+    return list(map(repr, got)) == list(map(repr, want))
+
+
+@pytest.mark.parametrize("seed", (3, 42, 7))
+@pytest.mark.parametrize("itv", (Interval(0.0, 1.0), Interval(-3.0, 5.0),
+                                 Interval(1e8, 1e8 + 1.0)), ids=lambda i: f"[{i.a:g},{i.b:g}]")
+def test_array_moments_equal_the_scalar_on_identity_samples(seed, itv):
+    run = cli.RunConfig(seed=seed, alpha_grid=ARRAY_GRID, interval=itv)
+    _, moments = cli._identity_moments(run)
+    # the left kernel's moment is the right kernel's on the negated panel
+    rows = [(x, lo, hi) if panel != "left" else (-x, -hi, -lo) for _, panel, x, lo, hi in moments]
+    y, lo, hi = (np.array(v) for v in zip(*rows))
+    got = abs_moments_closed(y, lo, hi, np.array(ARRAY_GRID)[:, None])
+    assert got.shape == (len(ARRAY_GRID), len(rows))
+    for alpha, values in zip(ARRAY_GRID, got.tolist()):
+        assert same_bits(values, [abs_moment_closed(*row, Order(alpha)) for row in rows])
+
+
+def test_array_moments_equal_the_scalar_at_edges_outside_and_on_overflow():
+    # Nodes on lo and hi, outside the panel, on an empty panel, and rows
+    # whose scalar value is inf or NaN because a product or quotient
+    # overflows; a row whose power overflows raises OverflowError in both.
+    rows = [(0.3, 0.3, 0.8), (0.8, 0.3, 0.8), (-1.0, 0.3, 0.8), (2.0, 0.3, 0.8),
+            (0.5, 0.3, 0.8), (0.3, 0.3, 0.3), (-1.0, 0.3, 0.3), (0.9, 0.3, 0.3),
+            (-0.0, 0.0, 1.0), (0.0, 0.0, 1e155), (1e155, 0.0, 1e155), (5e302, 0.0, 1e303),
+            (1e308, -1e308, -1e308), (-1e308, 1e308, 1e308), (0.0, -1e308, 1e308),
+            (math.inf, 0.0, 1.0), (-math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0)]
+    seen = []
+    for alpha in (1e-6, 1e-3, 0.5, 1.0, 2.0, 2.5, 100.0, 170.0):
+        kept, want = [], []
+        for row in rows:
+            try:
+                want.append(abs_moment_closed(*row, Order(alpha)))
+                kept.append(row)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    abs_moments_closed(*row, alpha)
+        got = abs_moments_closed(*zip(*kept), alpha).tolist()
+        assert same_bits(got, want)
+        assert same_bits([abs_moments_closed(*row, alpha).item() for row in kept], want)
+        seen += want
+    assert any(map(math.isnan, seen)) and math.inf in seen
+    with pytest.raises(DomainError, match="row 1"):
+        abs_moments_closed([0.5, 0.5], [0.0, 1.0], [1.0, 0.0], 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fracbound import __version__, cli, engine
+from fracbound import __version__, bounds, cli, engine
 from fracbound.bounds import abs_moment_closed
 from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
@@ -39,6 +40,24 @@ def test_run_config_order_range_is_the_order_range():
     for alpha in (9.99e-7, 170.0001, math.nan, math.inf):
         with pytest.raises(DomainError):
             RunConfig(alpha_grid=(0.5, alpha))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-hadamard", "--seed", "-1", "--trials", "1"],
+    ["verify-bullen", "--seed", "-1", "--trials", "1"],
+    ["check-identities", "--seed", "-1", "--alpha", "1"],
+    ["audit-corollaries", "--seed", "-1", "--alpha", "1"],
+    ["audit-corollaries", "--seed", "-3", "--alpha", "1"],
+    ["sweep", "hadamard", "--seed", "-5"],
+], ids=lambda argv: argv[0] if argv[0] != "audit-corollaries" else f"audit{argv[2]}")
+def test_negative_seed_exits_2_naming_the_seed(argv, capsys):
+    # A seed feeds numpy's SeedSequence, which wants a nonnegative integer;
+    # every command refuses a negative one up front, in the same words.
+    seed = argv[argv.index("--seed") + 1]
+    assert main(argv + ["--out", os.devnull]) == 2
+    assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
+    with pytest.raises(DomainError, match=seed):
+        RunConfig(seed=int(seed))
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +177,8 @@ def test_check_identities_draws_each_sample_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("interval", ["0,1e-12", "0,1e-200", "-3,-2.9999999999"])
 def test_check_identities_on_a_narrow_interval(interval, tmp_path, capsys):
-    # The continuity probes step 1e-9 of the width off each case boundary,
-    # so every probe node stays inside the interval whatever its width.
+    # The continuity probes step 1e-9 of the width, or to the float
+    # neighbours of the case boundary, and never leave the interval.
     out = tmp_path / "identities.json"
     argv = ["check-identities", f"--interval={interval}", "--alpha", "0.5",
             "--out", str(out)]
@@ -167,6 +186,55 @@ def test_check_identities_on_a_narrow_interval(interval, tmp_path, capsys):
     doc = json.loads(out.read_bytes())
     assert doc["aggregate"]["continuity_breaches"] == 0
     assert len([r for r in doc["records"] if r["kind"] == "continuity"]) == 6
+
+
+@pytest.mark.parametrize("interval", ["0,1", "-3,5", "1e8,100000001", "-3,-2.9999999999",
+                                      "-1e8,-99999999.99999", "1e12,1000000000000.001"])
+def test_continuity_probes_cross_their_case_boundary(interval, monkeypatch):
+    # On an offset interval +-1e-9 (b - a) can be below half an ulp of the
+    # boundary; each probe then steps to the float neighbours of the panel
+    # edge, so its two sides still take different orderings.
+    seen = []
+    v_panels = bounds.v_panels
+
+    def recording(cfg):
+        seen.append(cfg)
+        return v_panels(cfg)
+
+    monkeypatch.setattr(bounds, "v_panels", recording)
+    itv = cli._parse_interval(interval)
+    probes = list(cli._continuity_probes(itv, (0.5, 2.0), 1e-9 * itv.width))
+    assert len(probes) == 12 and all(slack >= 0.0 for *_, slack in probes)
+    for cfg in seen:
+        tags = bounds._HADAMARD_TAGS if cfg.nodes.shape[1] == 2 else bounds._BULLEN_TAGS
+        case = [bounds._breakdown(cfg.row(i), tags).case_tag for i in range(len(cfg.alpha))]
+        assert all(below != above for below, above in zip(case[::2], case[1::2]))
+        assert (cfg.nodes >= itv.a).all() and (cfg.nodes <= itv.b).all()
+
+
+def test_continuity_probes_check_something_on_an_offset_interval():
+    # +-1e-9 (b - a) is below half an ulp of 1e8: probes moved by that alone
+    # would read value_below == value_above and check nothing.
+    rep = cmd_check_identities(RunConfig(interval=Interval(1e8, 100000001.0)))
+    probes = [r for r in rep.records if r["kind"] == "continuity"]
+    assert len(probes) == 24
+    assert all(r["closed"] != r["quad"] and r["residual"] > 0.0 for r in probes)
+    assert rep.aggregate["continuity_breaches"] == 0
+
+
+def test_oracle_residual_rule():
+    # |closed - quad| / max(1, |quad|); inf where the oracle gave up with a
+    # non-finite estimate; a breach above RESIDUAL_LIMIT or without
+    # convergence; the maximum skips NaN.
+    closed = np.array([2.0, 1.0, 1.0, math.nan, 5.0, math.inf])
+    quad = np.array([2.0 + 4e-8, 1.0, math.nan, 1.0, 5.0, math.inf])
+    converged = np.array([True, False, False, True, True, True])
+    resid, worst, breaches = cli._oracle_residuals(closed, quad, converged)
+    assert resid[[0, 1, 2, 4]].tolist() == [abs(2.0 - quad[0]) / quad[0], 0.0, math.inf, 0.0]
+    assert math.isnan(resid[3]) and math.isnan(resid[5])
+    assert worst == math.inf
+    assert breaches == 3
+    assert cli._oracle_residuals(closed[3:4], quad[3:4], converged[3:4])[1:] == (0.0, 0)
 
 
 # ----------------------------------------------------------------------

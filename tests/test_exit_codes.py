@@ -6,9 +6,10 @@ about 500 samples whatever the interval.  audit-corollaries records
 mismatches as ledger data and never exits 1."""
 
 import json
+import math
 import os
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbound.cli import main
@@ -36,6 +37,11 @@ def test_exit_code_is_0_1_or_2(command, start, log_width, log_alpha, trials):
 @given(start=st.sampled_from(STARTS),
        log_width=st.floats(-300.0, 300.0),
        log_alpha=st.floats(-6.0, 2.230448921378274))
+# Widths at which a product in the closed moments overflows, ahead of a
+# corner power that overflows too (exit 2), and at which one underflows.
+@example(start=0.0, log_width=155.0, log_alpha=0.0)
+@example(start=0.0, log_width=150.0, log_alpha=math.log10(2.0))
+@example(start=0.0, log_width=-300.0, log_alpha=0.0)
 def test_check_identities_exit_code_is_0_1_or_2(start, log_width, log_alpha):
     end = start + 10.0 ** log_width
     alpha = min(10.0 ** log_alpha, 170.0)
