@@ -460,7 +460,8 @@ def _panel_forms(cfg: PanelConfigs) -> list:
                      "middle": pw * (w / alpha1 - dist / alpha),
                      "lower": pw * (dist / alpha - w / alpha1)}
         # Only the middle branch needs the corner power; other rows skip it.
-        kink = 2.0 * power_array(np.where(inside, dist, 0.0), alpha1) / denom
+        kink = np.zeros(len(y))
+        kink[inside] = 2.0 * power_array(dist[inside], alpha1[inside]) / denom[inside]
         parts.append((forms, kink))
     return parts
 

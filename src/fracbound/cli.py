@@ -54,11 +54,16 @@ serialize with fixed key order and round-trip-exact float text; identical
 run configurations produce byte-identical files.  Wall-clock duration is
 echoed to stderr only, never into the report bytes.
 
-CSV records: each run of consecutive records that share a key set is
-written by one row template (a "%.17g" or "%s" field per present column,
-an empty one per absent column) in one % operation over the run's values;
-the text of every field is that of :func:`_f17`, which still writes the
-header, aggregate and erratum lines.
+Records: a report holds its records as row blocks (:class:`RowBlock`),
+runs of consecutive records that share one key set, each a key tuple in
+the report's column order and a list of row tuples.  The verify commands,
+sweep and check-identities build the tuples from their result columns;
+the audit groups its finding dicts with :func:`row_blocks`.  The CSV
+writer writes each block by one row template (a "%.17g" or "%s" field
+per present column, an empty one per absent column) in one % operation
+over its rows; the text of every field is that of :func:`_f17`, which
+still writes the header, aggregate and erratum lines.  The JSON writer
+expands the blocks to dicts (``VerificationReport.records``).
 
 Exit codes: 0 all checks pass, 1 a violation or an oracle residual
 breach in any command (audit-corollaries records shortcut mismatches as
@@ -75,7 +80,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain, cycle, groupby, product
+from itertools import chain, cycle, groupby, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +89,7 @@ from . import __version__, bounds, corpus, engine
 from .quadrature import DomainError, Interval, Order, abs_moments, gamma_fn
 
 __all__ = [
+    "RowBlock",
     "RunConfig",
     "VerificationReport",
     "cmd_audit_corollaries",
@@ -91,6 +98,7 @@ __all__ = [
     "cmd_verify_bullen",
     "cmd_verify_hadamard",
     "main",
+    "row_blocks",
 ]
 
 SCHEMA_VERSION = 1
@@ -141,31 +149,65 @@ def _f17(value) -> str:
     return str(value)
 
 
-def _csv_rows(columns: tuple, records: list) -> list:
-    """The CSV text of the records, each field as :func:`_f17` writes it and
-    empty for an absent key.  Each run of consecutive records with one key
-    set is written by one row template, in one % operation: "%.17g" for a
-    column of floats, "%s" for one of str and int, and "%s" over the _f17
-    text of anything else (bools, None, numpy scalars, mixed columns)."""
-    text = []
+class RowBlock(NamedTuple):
+    """A run of consecutive report records that share one key set: the keys
+    in the report's column order and one tuple of values per record."""
+
+    keys: tuple
+    rows: list
+
+
+def row_blocks(columns: tuple, records) -> list:
+    """The row blocks of records given as dicts: one per run of consecutive
+    records with one key set, each record's values in column order; keys
+    outside ``columns`` are dropped."""
+    blocks = []
     for _, group in groupby(records, key=dict.keys):
         group = list(group)
-        fields, values = [], []
-        for c in columns:
-            if c not in group[0]:
-                fields.append("")
-                continue
-            column = [r[c] for r in group]
-            kinds = set(map(type, column))
-            if kinds == {float}:
-                fields.append("%.17g")
-            else:
-                fields.append("%s")
-                if not kinds <= {str, int}:
-                    column = list(map(_f17, column))
+        keys = tuple(c for c in columns if c in group[0])
+        blocks.append(RowBlock(keys, [tuple(map(r.__getitem__, keys)) for r in group]))
+    return blocks
+
+
+# A float column with a repeat among its first this many values (an order,
+# a rounding-level residual) has each distinct value formatted once.
+_CSV_SAMPLE = 64
+
+
+def _csv_column(column: tuple):
+    """(field format, values) of one CSV column of a row block, each field
+    to read as :func:`_f17` writes it: "%.17g" over a column of floats,
+    "%s" over one of str and int, and "%s" over the _f17 text of anything
+    else (bools, None, numpy scalars, mixed columns) or of a repeating
+    float column."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        head = column[:_CSV_SAMPLE]
+        if len(set(head)) == len(head):
+            return "%.17g", column
+        text = {v: "%.17g" % v for v in set(column)}
+        if 0.0 in text:
+            # 0.0 and -0.0 share a key: zeros are formatted as they come.
+            return "%s", [text[v] if v else "%.17g" % v for v in column]
+        return "%s", list(map(text.__getitem__, column))
+    if kinds <= {str, int}:
+        return "%s", column
+    return "%s", list(map(_f17, column))
+
+
+def _csv_rows(columns: tuple, blocks: list) -> list:
+    """The CSV text of the records, each field as :func:`_f17` writes it and
+    empty for an absent key: each row block in one % operation over one
+    row template, its fields those of :func:`_csv_column`."""
+    text = []
+    for keys, rows in blocks:
+        formats, values = [], []
+        for fmt, column in map(_csv_column, zip(*rows)):
+            formats.append(fmt)
             values.append(column)
-        rows = "\n".join([",".join(fields)] * len(group))
-        text.append(rows % tuple(chain.from_iterable(zip(*values))))
+        fields = dict(zip(keys, formats))
+        template = "\n".join([",".join(fields.get(c, "") for c in columns)] * len(rows))
+        text.append(template % tuple(chain.from_iterable(zip(*values))))
     return text
 
 
@@ -210,7 +252,8 @@ def _dumps_indent1(doc: dict) -> str:
 
 @dataclass
 class VerificationReport:
-    """Harness output: run metadata, per-record results, aggregates, errata.
+    """Harness output: run metadata, per-record results as row blocks
+    (:class:`RowBlock`), aggregates, errata.
 
     ``duration_seconds`` and ``oracle_failures`` (oracle checks whose
     quadrature did not converge) are console diagnostics only and are
@@ -221,11 +264,17 @@ class VerificationReport:
     command: str
     run: RunConfig
     columns: tuple
-    records: list
+    blocks: list
     aggregate: dict
     errata: list
     duration_seconds: float = 0.0
     oracle_failures: int = 0
+
+    @property
+    def records(self) -> list:
+        """The records as dicts, keys in column order: a copy, since the
+        report holds them as row blocks."""
+        return [dict(zip(keys, row)) for keys, rows in self.blocks for row in rows]
 
     @property
     def violations(self) -> int:
@@ -250,7 +299,7 @@ class VerificationReport:
     def to_json_bytes(self) -> bytes:
         doc = self._header()
         doc["aggregate"] = self.aggregate
-        doc["records"] = [{c: r[c] for c in self.columns if c in r} for r in self.records]
+        doc["records"] = self.records
         doc["errata"] = self.errata
         return (_dumps_indent1(doc) + "\n").encode("utf-8")
 
@@ -266,7 +315,7 @@ class VerificationReport:
             ";".join(_f17(a) for a in run["alpha_grid"]),
             _f17(run["interval"][0]), _f17(run["interval"][1]), _f17(run["m_max"])))
         lines.append(",".join(self.columns))
-        lines += _csv_rows(self.columns, self.records)
+        lines += _csv_rows(self.columns, self.blocks)
         for key in self.aggregate:
             lines.append(f"# aggregate {key}={_f17(self.aggregate[key])}")
         for ent in self.errata:
@@ -370,9 +419,8 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     values.update((name, nodes[rows, p]) for p, name in enumerate(node_names))
     values.update(m=record_witnesses.constants, gap=gap, bound=bound, ratio=ratio,
                   passed=passed)
-    columns = tuple(values)
-    records = [dict(zip(columns, rec), method="oracle")
-               for rec in zip(*(v.tolist() for v in values.values()))]
+    columns = tuple(values) + ("method", "oracle_residual")
+    records = list(zip(*(v.tolist() for v in values.values()), repeat("oracle")))
 
     # The records of every ORACLE_CHECK_STRIDE-th trial, in record order.
     checked = (np.arange(0, trials, ORACLE_CHECK_STRIDE)[:, None] * len(grid)
@@ -382,7 +430,9 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     quad_gap, converged = engine.panel_quadrature_gap(quad_cfg, record_witnesses.take(checked))
     resid, max_resid, resid_breaches = _oracle_residuals(gap[checked], quad_gap, converged)
     for row, r in zip(checked.tolist(), resid.tolist()):
-        records[row]["oracle_residual"] = r
+        records[row] += (r,)
+    # A checked record has one more column, the last.
+    blocks = [RowBlock(columns[:n], list(group)) for n, group in groupby(records, key=len)]
     aggregate = {
         "evaluations": len(records),
         "violations": int(np.count_nonzero(~passed)),
@@ -391,9 +441,8 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
         "max_oracle_residual": max_resid,
         "oracle_residual_breaches": resid_breaches,
     }
-    return VerificationReport(command, run, columns + ("method", "oracle_residual"),
-                              records, aggregate, [], time.perf_counter() - t0,
-                              int(np.count_nonzero(~converged)))
+    return VerificationReport(command, run, columns, blocks, aggregate, [],
+                              time.perf_counter() - t0, int(np.count_nonzero(~converged)))
 
 
 def cmd_verify_hadamard(run: RunConfig) -> VerificationReport:
@@ -570,13 +619,16 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
     quad = np.concatenate([q.value for q in quads])
     converged = np.concatenate([q.converged for q in quads])
     resid, max_resid, resid_breaches = _oracle_residuals(closed, quad, converged)
-    records = [{"kind": "moment", "case": tag, "alpha": alpha, "panel": panel, "closed": c,
-                "quad": q, "residual": r} for (alpha, (tag, panel)), c, q, r
-               in zip(product(grid, zip(tags, panels)), closed.tolist(), quad.tolist(),
-                      resid.tolist())]
+    # Order-major, as the moments: every sample panel at each order.
+    moments = RowBlock(("kind", "case", "alpha", "panel", "closed", "quad", "residual"),
+                       list(zip(repeat("moment"), tags * len(grid),
+                                chain.from_iterable(repeat(al, len(tags)) for al in grid),
+                                panels * len(grid), closed.tolist(), quad.tolist(),
+                                resid.tolist())))
 
     max_delta = 0.0
     continuity_breaches = 0
+    probes = []
     for alpha, tag, below, above, slack in _continuity_probes(run.interval, grid,
                                                               1e-9 * run.interval.width):
         delta = abs(above - below)
@@ -584,8 +636,7 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
         normalized = delta / (1.0 + max(abs(below), abs(above)))
         max_delta = max(max_delta, normalized)
         continuity_breaches += delta > limit
-        records.append({"kind": "continuity", "case": tag, "alpha": alpha,
-                        "closed": below, "quad": above, "residual": normalized})
+        probes.append(("continuity", tag, alpha, below, above, normalized))
 
     aggregate = {
         "evaluations": samples * len(grid),
@@ -595,8 +646,8 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
         "max_continuity_delta": max_delta,
         "continuity_breaches": continuity_breaches,
     }
-    columns = ("kind", "case", "alpha", "panel", "closed", "quad", "residual")
-    return VerificationReport("check-identities", run, columns, records, aggregate,
+    blocks = [moments, RowBlock(("kind", "case", "alpha", "closed", "quad", "residual"), probes)]
+    return VerificationReport("check-identities", run, moments.keys, blocks, aggregate,
                               [], time.perf_counter() - t0, int(np.count_nonzero(~converged)))
 
 
@@ -660,8 +711,8 @@ def cmd_audit_corollaries(run: RunConfig) -> VerificationReport:
     columns = ("formula_id", "alpha", "lam", "eta", "delta", "node_delta", "theta",
                "printed_bound", "oracle_bound", "deviation", "gap", "bound_used",
                "ratio", "passed")
-    return VerificationReport("audit-corollaries", run, columns, records, aggregate,
-                              errata, time.perf_counter() - t0)
+    return VerificationReport("audit-corollaries", run, columns, row_blocks(columns, records),
+                              aggregate, errata, time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------------
@@ -712,13 +763,12 @@ def cmd_sweep(run: RunConfig, functional: str,
         itv, [r[0] for r in rows], np.reshape([r[2] for r in rows], shape),
         np.reshape([r[3] for r in rows], shape), corpus.WitnessArrays.repeat(witness, len(rows)))
     columns = ("alpha",) + names + ("gap", "bound", "ratio")
-    records = [dict(zip(columns, (alpha, *params, *result)))
-               for (alpha, params, _, _), *result
+    records = [(alpha, *params, *result) for (alpha, params, _, _), *result
                in zip(rows, gap.tolist(), bound.tolist(), ratio.tolist())]
     aggregate = {"evaluations": len(records), "violations": int(np.count_nonzero(~passed)),
                  "max_ratio": max([0.0] + [r for r in ratio.tolist() if math.isfinite(r)])}
-    return VerificationReport(f"sweep-{functional}", run, columns, records, aggregate,
-                              [], time.perf_counter() - t0)
+    return VerificationReport(f"sweep-{functional}", run, columns, [RowBlock(columns, records)],
+                              aggregate, [], time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------------
@@ -808,9 +858,9 @@ def main(argv=None) -> int:
         print(f"fracbound: I/O error: {exc}", file=sys.stderr)
         return 2
     agg = report.aggregate
-    print("fracbound %s: %d records, %d violations, %.2fs" % (
-        report.command, agg.get("evaluations", len(report.records)),
-        agg.get("violations", 0), report.duration_seconds), file=sys.stderr)
+    print("fracbound %s: %d records, %d evaluations, %d violations, %.2fs" % (
+        report.command, sum(len(rows) for _, rows in report.blocks), agg["evaluations"],
+        report.violations, report.duration_seconds), file=sys.stderr)
     if report.oracle_failures:
         key = ("oracle_residual_breaches" if "oracle_residual_breaches" in agg
                else "residual_breaches")

@@ -344,10 +344,7 @@ def kernel_integrals(h, origin, direction, width, alpha, kinks) -> Integrals:
             nodes, w_high, w_low = _piece_rules(rows, lo[fresh], hi[fresh], alpha)
             t = origin[rows, None] + direction[rows, None] * (width[rows, None] * nodes)
             g = np.broadcast_to(np.asarray(h(rows, t), dtype=float), t.shape)
-            q_high, q_low = np.zeros(len(rows)), np.zeros(len(rows))
-            for j in range(g.shape[1]):
-                q_high = q_high + w_high[:, j] * g[:, j]
-                q_low = q_low + w_low[:, j] * g[:, j]
+            q_high, q_low = _node_sum(w_high * g), _node_sum(w_low * g)
             high[fresh], bound[fresh] = q_high, np.abs(q_high - q_low)
 
             total = np.bincount(row, high, minlength=n)
@@ -373,6 +370,14 @@ def kernel_integrals(h, origin, direction, width, alpha, kinks) -> Integrals:
             row, high, bound = row[take], high[take], bound[take]
         value, error = scale * value, scale * error
     return Integrals(value, error, converged & np.isfinite(value))
+
+
+def _node_sum(products: np.ndarray) -> np.ndarray:
+    """Each row's sum 0.0 + p_0 + p_1 + ..., added in node order: one
+    sequential accumulate along the row (np.add.accumulate never
+    reassociates, unlike np.sum's pairwise sum), plus 0.0, which turns the
+    -0.0 of a row of -0.0 products into the +0.0 of the sum from 0.0."""
+    return np.cumsum(products, axis=1)[:, -1] + 0.0
 
 
 def _initial_pieces(width: np.ndarray, kinks: np.ndarray):

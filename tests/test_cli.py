@@ -344,6 +344,32 @@ def test_main_flag_parsing(tmp_path):
     assert "alpha,lam,delta,gap,bound,ratio" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-identities", "--alpha", "0.5", "--alpha", "2"],
+    ["verify-hadamard", "--trials", "4"],
+], ids=["check-identities", "verify-hadamard"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stderr_counts_the_records_written_and_the_evaluations(argv, fmt, tmp_path, capsys):
+    # check-identities writes a record per panel moment and continuity
+    # probe, but counts samples x orders as its evaluations; the console
+    # line gives both, each under its own name.
+    out = tmp_path / f"report.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "json":
+        doc = json.loads(text)
+        records, evaluations = len(doc["records"]), doc["aggregate"]["evaluations"]
+    else:
+        lines = text.splitlines()
+        records = sum(not line.startswith("#") for line in lines) - 1
+        (evaluations,) = [int(line.split("=")[1]) for line in lines
+                          if line.startswith("# aggregate evaluations=")]
+    if argv[0] == "check-identities":
+        assert records > evaluations
+    err = capsys.readouterr().err
+    assert f"fracbound {argv[0]}: {records} records, {evaluations} evaluations, 0 violations" in err
+
+
 def test_main_exit_2_on_bad_config(tmp_path):
     assert main(["verify-hadamard", "--interval", "5,1"]) == 2
     assert main(["verify-hadamard", "--interval", "nope"]) == 2

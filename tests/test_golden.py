@@ -11,7 +11,9 @@ check-identities digests were re-pinned once since, when the batched
 Gauss-Jacobi / Gauss-Kronrod oracle replaced QUADPACK: a differential
 against the QUADPACK reports showed changes in the oracle values alone
 (oracle_residual, the quad and residual of moment records and their
-maxima), each within 3.6e-15 relative of the closed form.
+maxima), each within 3.6e-15 relative of the closed form.  The
+benchmark-workload digests were recorded with the per-record dict writers,
+before reports held their records as row blocks.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import pytest
 from fracbound.bounds import v_bullen, v_hadamard
 from fracbound.cli import (RunConfig, VerificationReport, _f17, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
-                           cmd_verify_hadamard, main)
+                           cmd_verify_hadamard, main, row_blocks)
 from fracbound.corpus import random_lipschitz, to_text
 from fracbound.quadrature import Interval
 from test_batched import INTERVALS, three_node_cases, two_node_cases
@@ -221,20 +223,45 @@ def test_breakdown_golden_digest():
     assert digest.hexdigest() == GOLDEN_BREAKDOWN_SHA256
 
 
+# The argv of the three benchmark workloads (perfbench/run.py) at seed 3,
+# without --out, and the sha256 of their reports.
+BENCHMARK_ARGV = {
+    "verify-bullen": ["verify-bullen", "--seed", "3", "--interval", "0,1", "--format", "json",
+                      "--trials", "2000"] + list(chain.from_iterable(
+                          ("--alpha", repr(al)) for al in (0.5, 1.0, 1.5, 2.0))),
+    "identities": ["check-identities", "--seed", "3", "--interval", "0,1", "--format", "csv"]
+    + list(chain.from_iterable(("--alpha", repr(0.25 + k * 0.125)) for k in range(39))),
+    "audit-grid": ["audit-corollaries", "--seed", "3", "--interval", "0,1", "--format", "json"]
+    + list(chain.from_iterable(("--alpha", repr(0.25 + k * 0.0625)) for k in range(77))),
+}
+BENCHMARK_SHA256 = {
+    "verify-bullen": "d8735e2f178064fe3dd5de8562675a7b80897a195ec0dc8a05a799e485b11a10",
+    "identities": "43d3843aa573f27ca36bd46234190380d0705d11b80f3bb7fb90ea3a036e3655",
+    "audit-grid": "06ab27f7b8b0ee50a706b34fb3ddc07cd2ccf69753ff9864d26d018b35581993",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_ARGV))
+def test_benchmark_report_golden_digest(workload, tmp_path):
+    out = tmp_path / "report"
+    assert main(BENCHMARK_ARGV[workload] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCHMARK_SHA256[workload]
+
+
 # ----------------------------------------------------------------------
 # Report writers: the same bytes as json.dumps(indent=1) and as one
 # _f17 call per CSV field
 # ----------------------------------------------------------------------
 
-def _reference_json(rep: VerificationReport) -> bytes:
+def _reference_json(rep: VerificationReport, records: list) -> bytes:
     doc = rep._header()
     doc["aggregate"] = rep.aggregate
-    doc["records"] = [{c: r[c] for c in rep.columns if c in r} for r in rep.records]
+    doc["records"] = [{c: r[c] for c in rep.columns if c in r} for r in records]
     doc["errata"] = rep.errata
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 
 
-def _reference_csv(rep: VerificationReport) -> bytes:
+def _reference_csv(rep: VerificationReport, records: list) -> bytes:
     """The CSV report with its record lines written one record and one _f17
     field at a time; the header, aggregate and erratum lines are the
     writer's own."""
@@ -242,7 +269,7 @@ def _reference_csv(rep: VerificationReport) -> bytes:
     head = lines.index(",".join(rep.columns)) + 1
     tail = len(rep.aggregate) + len(rep.errata) + 1
     records = [",".join(_f17(rec[c]) if c in rec else "" for c in rep.columns)
-               for rec in rep.records]
+               for rec in records]
     return "\n".join(lines[:head] + records + lines[-tail:]).encode("utf-8")
 
 
@@ -260,16 +287,17 @@ REPORT_BUILDS = pytest.mark.parametrize("build", [
 @REPORT_BUILDS
 def test_json_writer_matches_indent1_on_reports(build):
     rep = build()
-    assert rep.to_json_bytes() == _reference_json(rep)
+    assert rep.to_json_bytes() == _reference_json(rep, rep.records)
 
 
 @REPORT_BUILDS
 def test_csv_writer_matches_per_field_text_on_reports(build):
     rep = build()
-    assert rep.to_csv_bytes() == _reference_csv(rep)
+    assert rep.to_csv_bytes() == _reference_csv(rep, rep.records)
 
 
 SYNTHETIC_COLUMNS = ("i", "f", "b", "n", "s")
+NAN = float("nan")
 SYNTHETIC_RECORDS = [
     {"i": 0, "f": float("inf"), "b": True, "n": None, "s": "plain"},
     {"i": -7, "f": float("-inf"), "b": False, "n": None, "s": 'a", "b'},
@@ -289,9 +317,10 @@ SYNTHETIC_RECORDS = [
 ], ids=["scalars", "empty-list", "single", "empty-records", "nested-fallback"])
 def test_json_writer_matches_indent1_on_synthetic_records(records):
     rep = VerificationReport("synthetic", RunConfig(trials=1), SYNTHETIC_COLUMNS,
-                             records, {"evaluations": len(records), "x": float("inf")},
+                             row_blocks(SYNTHETIC_COLUMNS, records),
+                             {"evaluations": len(records), "x": float("inf")},
                              [{"formula_id": "f", "witness_params": {"alpha": 1.0}}])
-    assert rep.to_json_bytes() == _reference_json(rep)
+    assert rep.to_json_bytes() == _reference_json(rep, records)
 
 
 @pytest.mark.parametrize("records", [
@@ -303,11 +332,15 @@ def test_json_writer_matches_indent1_on_synthetic_records(records):
     [],
     [{}],
     [{}, {"i": 1}, {}, {"s": "%s %% %(x)s"}],
+    [{"f": f, "i": 1} for f in [0.0, -0.0, NAN, float("inf"), 0.1, -0.0, 1e-310, 0.1] * 20],
+    [{"f": f} for f in [-0.0] * 70 + [0.0, 2.5]],
+    [{"f": float(text)} for text in ["nan", "inf", "-inf", "0.1"] * 30],
 ], ids=["scalars", "mixed-int-float", "numpy-scalars", "reordered-keys", "empty-list",
-        "empty-record", "key-runs"])
+        "empty-record", "key-runs", "repeated-floats", "negative-zeros", "repeated-nonzero"])
 def test_csv_writer_matches_per_field_text_on_synthetic_records(records):
     rep = VerificationReport("synthetic", RunConfig(trials=1, fmt="csv"), SYNTHETIC_COLUMNS,
-                             records, {"evaluations": len(records), "x": float("inf")},
+                             row_blocks(SYNTHETIC_COLUMNS, records),
+                             {"evaluations": len(records), "x": float("inf")},
                              [{"formula_id": "f", "max_abs_deviation": 0.25,
                                "witness_params": {"alpha": 1.0}}])
-    assert rep.to_csv_bytes() == _reference_csv(rep)
+    assert rep.to_csv_bytes() == _reference_csv(rep, records)

@@ -385,3 +385,30 @@ def test_flat_integrand_equals_nested_lambda_reference(case, alpha):
     compute, reference = FLAT_CASES[case]
     want = reference(alpha)
     assert abs(compute(Order(alpha)) - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def _node_loop(weights, g):
+    # The per-node sum the oracle's rules once ran: 0.0 + p_0 + p_1 + ...
+    total = np.zeros(len(weights))
+    for j in range(weights.shape[1]):
+        total = total + weights[:, j] * g[:, j]
+    return total
+
+
+def test_node_sum_equals_the_per_node_loop_bit_for_bit():
+    rng = np.random.default_rng(15)
+    weights = rng.uniform(0.0, 1.0, (200, 21))
+    g = rng.standard_normal((200, 21))
+    g[150:] *= 10.0 ** rng.integers(-300, 300, (50, 21))
+    # All products -0.0 (the loop's sum is +0.0), and rows mixing -0.0,
+    # +0.0 and terms that cancel exactly.
+    g[:20] = -0.0
+    g[20:40, ::2] = -0.0
+    g[40:60] = np.where(rng.uniform(size=(20, 21)) < 0.5, 0.0, -0.0)
+    g[60:80] = np.tile([1.0, -1.0, 3.5, -3.5, 0.0, -0.0, 2.0 ** -1074], (20, 3))
+    weights[60:80] = 1.0
+    g[80:100] *= np.sign(rng.standard_normal((20, 21)))
+    want = _node_loop(weights, g)
+    got = quadrature._node_sum(weights * g)
+    assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
+    assert repr(want.tolist()[0]) == "0.0"
