@@ -49,7 +49,14 @@ draws enough samples per ordering case for at least 500 in all.
 
 Determinism: every random draw comes from numpy PCG64 seeded through
 SeedSequence(entropy=seed, spawn_key=(trial,)), one splittable stream per
-trial, so trial order and concurrency cannot change the draws.  Reports
+trial, so trial order and concurrency cannot change the draws.  The
+streams of a run start together in :func:`fracbound.corpus.streams`,
+which computes every SeedSequence state as uint32 array arithmetic and
+PCG64's seeding step in Python ints, then sets each state on one reused
+bit generator; numpy's Generator makes every draw.  tests/test_corpus.py
+holds those states to numpy's SeedSequence and PCG64, and
+tests/test_cli.py holds each command's report to the one drawn from
+streams built by numpy one at a time.  Reports
 serialize with fixed key order and round-trip-exact float text; identical
 run configurations produce byte-identical files.  Wall-clock duration is
 echoed to stderr only, never into the report bytes.
@@ -328,11 +335,6 @@ class VerificationReport:
         return self.to_json_bytes() if self.run.fmt == "json" else self.to_csv_bytes()
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 def _oracle_residuals(closed, quad, converged):
     """(residuals, their maximum skipping NaN, breach count) of oracle
     checks.  The residual is |closed - quad| / max(1, |quad|), inf where the
@@ -401,8 +403,7 @@ def _soundness_sweep(command: str, run: RunConfig) -> VerificationReport:
     seeds = []
     weights = np.empty((trials, k))
     nodes = np.empty((trials, k))
-    for trial in range(trials):
-        rng = _trial_rng(run.seed, trial)
+    for trial, rng in enumerate(corpus.streams([run.seed] * trials, range(trials))):
         seeds.append(int(rng.integers(0, 2 ** 63)))
         weights[trial] = _draw_weights(rng, k)
         nodes[trial] = np.sort(rng.uniform(a, b, k))
@@ -524,12 +525,15 @@ def _identity_moments(run: RunConfig):
         ("two_node", 3, 10_000, lambda case, k, rng: _two_node_sample(case, rng, a, b)),
         ("three_node", 8, 20_000, lambda case, k, rng: _three_node_sample(case, k, rng, a, b)),
     )
+    # (case tag, sampler, case, k, stream key) of every sample
+    samples = [(f"{family}_case{case}", sample, case, k, offset + 1_000 * case + k)
+               for family, cases, offset, sample in families
+               for case in range(1, cases + 1)
+               for k in range(per_case)]
+    streams = corpus.streams([run.seed] * len(samples), [s[-1] for s in samples])
     # (case tag, nodes, edges) of every sample
-    drawn = [(f"{family}_case{case}",
-              *sample(case, k, _trial_rng(run.seed, offset + 1_000 * case + k)))
-             for family, cases, offset, sample in families
-             for case in range(1, cases + 1)
-             for k in range(per_case)]
+    drawn = [(tag, *sample(case, k, rng))
+             for (tag, sample, case, k, _), rng in zip(samples, streams)]
     return len(drawn), [(tag, "left" if p == 0 else "right" if p == len(nodes) - 1 else "mid",
                          nodes[p], edges[p], edges[p + 1])
                         for tag, nodes, edges in drawn for p in range(len(nodes))]
@@ -782,6 +786,21 @@ def _parse_interval(text: str) -> Interval:
     return Interval(float(parts[0]), float(parts[1]))
 
 
+def _attach_interval_values(argv: list) -> list:
+    """argv with each "--interval A,B" whose A starts like a negative number
+    written as "--interval=A,B", and so for the option's abbreviations
+    "--i" to "--interva": argparse reads a value that starts with "-" as an
+    option unless the whole value is one negative number."""
+    out = []
+    for token in argv:
+        if (out and len(out[-1]) > 2 and "--interval".startswith(out[-1])
+                and token.startswith("-") and (token[1:2].isdigit() or token[1:2] == ".")):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracbound",
@@ -826,7 +845,7 @@ def _exit_code(report: VerificationReport) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_interval_values(sys.argv[1:] if argv is None else argv))
     try:
         run = _run_config(args)
         if args.command == "verify-hadamard":

@@ -12,12 +12,18 @@ That separates formula bugs from quadrature error: the closed forms here
 are the oracle the adaptive integrator is compared to, and vice versa.
 
 Random generation is deterministic per seed (numpy PCG64 seeded through
-SeedSequence) with no global state.
+SeedSequence) with no global state.  :func:`streams` starts many such
+streams at once: it computes every stream's SeedSequence state in one pass
+of uint32 array arithmetic, and PCG64's seeding step in Python ints, then
+sets each state on one reused bit generator.  Each stream equals
+``Generator(PCG64(SeedSequence(entropy, spawn_key=(key,))))`` bit for bit;
+``tests/test_corpus.py`` holds the states and draws to numpy's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -38,6 +44,7 @@ __all__ = [
     "lipschitz_constant",
     "random_lipschitz",
     "random_lipschitz_arrays",
+    "streams",
     "tent",
     "to_text",
 ]
@@ -136,6 +143,123 @@ def tent(interval: Interval, center: float) -> PiecewiseLinearFunction:
     return PiecewiseLinearFunction((a, center, b), (center - a, 0.0, b - center))
 
 
+# numpy's SeedSequence (after O'Neill's randutils seed_seq): a pool of 4
+# uint32 words, hashed with these multipliers, and its output hash.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on columns of uint32 words.  Each call hashes
+    with the next hash constant; the constants do not depend on the data,
+    so every row of a column shares them."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_words(values) -> tuple:
+    """(word counts, values) of ints as SeedSequence takes them: uint32
+    words, least significant first, and one word for 0."""
+    values = [operator.index(v) for v in values]
+    if any(v < 0 for v in values):
+        raise ValueError("seeds and spawn keys must be nonnegative integers")
+    return [max(1, -(-v.bit_length() // 32)) for v in values], values
+
+
+def _word_columns(values: list, rows: list, n: int) -> list:
+    """Words 0 to n - 1 of the given rows' values, one uint32 array each."""
+    return [np.array([(values[i] >> (32 * j)) & _MASK32 for i in rows], dtype=np.uint32)
+            for j in range(n)]
+
+
+def _seed_states(entropy, spawn_keys=None) -> np.ndarray:
+    """``SeedSequence(entropy[i], spawn_key=(spawn_keys[i],)).generate_state(4,
+    np.uint64)`` of each i (no spawn key when ``spawn_keys`` is None), as an
+    (n, 4) uint64 array.
+
+    Rows are grouped by the word counts of their seed and key, and each
+    group is hashed one column of words at a time.  The assembled entropy is
+    the seed's words, zero-padded to the pool size when a key follows, then
+    the key's words; an entropy shorter than the pool hashes as if
+    zero-padded to it, so every row is.
+    """
+    counts, entropy = _seed_words(entropy)
+    if spawn_keys is None:
+        key_counts, keys = [0] * len(entropy), [0] * len(entropy)
+    else:
+        key_counts, keys = _seed_words(spawn_keys)
+        if len(keys) != len(entropy):
+            raise ValueError(f"{len(entropy)} seeds vs {len(keys)} spawn keys")
+    groups: dict = {}
+    for i, shape in enumerate(zip(counts, key_counts)):
+        groups.setdefault(shape, []).append(i)
+    states = np.empty((len(entropy), 4), dtype=np.uint64)
+    for (count, key_count), rows in groups.items():
+        assembled = (_word_columns(entropy, rows, count)
+                     + [np.zeros(len(rows), dtype=np.uint32)] * max(0, _POOL_SIZE - count)
+                     + _word_columns(keys, rows, key_count))
+        # SeedSequence.mix_entropy: hash the first pool-size words into the
+        # pool, mix every pool word into every other, then mix in the rest.
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in assembled[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in assembled[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # SeedSequence.generate_state: 8 uint32 words cycling over the pool,
+        # read little-endian as 4 uint64 words.
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        out = [hashmix(word).astype(np.uint64) for word in pool + pool]
+        states[rows] = np.stack([lo | (hi << np.uint64(32))
+                                 for lo, hi in zip(out[::2], out[1::2])], axis=1)
+    return states
+
+
+def _pcg64_state(state) -> dict:
+    """The ``PCG64.state`` of a bit generator seeded with one
+    :func:`_seed_states` row: pcg64_srandom_r in 128-bit arithmetic."""
+    s0, s1, s2, s3 = state
+    inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128
+    seeded = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": seeded, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def streams(entropy, spawn_keys=None):
+    """Yield one numpy Generator per seed, at the start of the stream
+    ``Generator(PCG64(SeedSequence(entropy[i], spawn_key=(spawn_keys[i],))))``
+    (no spawn key when ``spawn_keys`` is None), bit for bit.
+
+    Every stream is the same Generator object, re-seeded when the next one
+    is taken: draw from each before taking the next.
+    """
+    states = _seed_states(entropy, spawn_keys)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state in states.tolist():
+        bit_generator.state = _pcg64_state(state)
+        yield rng
+
+
 # Draws of the interior breakpoints before a witness draw gives up.  Any
 # interval wider than a few floats yields distinct breakpoints on the first
 # draw; one that cannot hold segments - 1 distinct interior floats never
@@ -213,8 +337,7 @@ def random_lipschitz_arrays(seeds, interval: Interval, segments: int = 6,
     bps[:, 0], bps[:, -1] = a, b
     slopes = np.empty((n, segments))
     vals = np.empty((n, segments + 1))
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for i, rng in enumerate(streams(seeds)):
         row = bps[i]
         for _ in range(MAX_BREAKPOINT_DRAWS):
             row[1:-1] = np.sort(rng.uniform(a, b, segments - 1))

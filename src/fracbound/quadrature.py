@@ -374,10 +374,14 @@ def kernel_integrals(h, origin, direction, width, alpha, kinks) -> Integrals:
 
 def _node_sum(products: np.ndarray) -> np.ndarray:
     """Each row's sum 0.0 + p_0 + p_1 + ..., added in node order: one
-    sequential accumulate along the row (np.add.accumulate never
-    reassociates, unlike np.sum's pairwise sum), plus 0.0, which turns the
-    -0.0 of a row of -0.0 products into the +0.0 of the sum from 0.0."""
-    return np.cumsum(products, axis=1)[:, -1] + 0.0
+    elementwise add per node over every row (unlike np.sum's pairwise sum,
+    it never reassociates).  p_0 + 0.0 is the 0.0 + p_0 the sum starts
+    with: it turns the -0.0 of a row of -0.0 products into +0.0."""
+    nodes = products.T
+    total = nodes[0] + 0.0
+    for column in nodes[1:]:
+        total += column
+    return total
 
 
 def _initial_pieces(width: np.ndarray, kinks: np.ndarray):

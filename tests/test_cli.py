@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracbound import __version__, bounds, cli, engine
+from fracbound import __version__, bounds, cli, corpus, engine
 from fracbound.bounds import abs_moment_closed
 from fracbound.cli import (RESIDUAL_LIMIT, RunConfig, cmd_audit_corollaries,
                            cmd_check_identities, cmd_sweep, cmd_verify_bullen,
@@ -151,19 +151,46 @@ def test_check_identities_unit_order_residuals_tiny():
     assert max(r["residual"] for r in moments) <= 1e-12
 
 
+def trial_rng(seed, trial):
+    """A trial's stream as the module docstring states it, built by numpy one
+    SeedSequence and PCG64 at a time: the reference for corpus.streams."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def reference_streams(entropy, spawn_keys=None):
+    """corpus.streams one numpy stream at a time: trial streams, and the
+    witness streams SeedSequence(seed) when there are no spawn keys."""
+    if spawn_keys is None:
+        for seed in entropy:
+            yield np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for seed, key in zip(entropy, spawn_keys or ()):
+        yield trial_rng(seed, key)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 32, 2 ** 64, 2 ** 100 + 7])
+def test_commands_draw_every_trial_from_its_documented_stream(seed, monkeypatch):
+    run = RunConfig(seed=seed, trials=30, alpha_grid=(0.5, 2.0))
+    commands = (cmd_verify_hadamard, cmd_verify_bullen, cmd_check_identities)
+    fast = [command(run).to_bytes() for command in commands]
+    monkeypatch.setattr(corpus, "streams", reference_streams)
+    assert [command(run).to_bytes() for command in commands] == fast
+
+
 def test_check_identities_draws_each_sample_once_per_run(monkeypatch):
     # A sample's stream does not depend on the order: one draw per
     # (ordering case x k) serves every order of the grid.  Both grids have
     # two orders, so both draw 23 samples per case.
     per_case = 23
     trials = []
-    trial_rng = cli._trial_rng
+    streams = corpus.streams
 
-    def counted(seed, trial):
-        trials.append(trial)
-        return trial_rng(seed, trial)
+    def counted(entropy, spawn_keys=None):
+        for key, rng in zip(spawn_keys, streams(entropy, spawn_keys)):
+            trials.append(key)
+            yield rng
 
-    monkeypatch.setattr(cli, "_trial_rng", counted)
+    monkeypatch.setattr(corpus, "streams", counted)
     reports = {}
     for grid in ((0.5, 2.0), (2.0, 0.5)):
         trials.clear()
@@ -337,7 +364,7 @@ def test_main_writes_report_and_exits_zero(tmp_path):
 def test_main_flag_parsing(tmp_path):
     out = tmp_path / "rep.csv"
     code = main(["sweep", "hadamard", "--alpha", "0.5", "--alpha", "1.5",
-                 "--interval=-1,3", "--format", "csv", "--out", str(out)])
+                 "--interval", "-1,3", "--format", "csv", "--out", str(out)])
     assert code == 0
     text = out.read_text()
     assert "# command=sweep-hadamard" in text
@@ -370,9 +397,25 @@ def test_stderr_counts_the_records_written_and_the_evaluations(argv, fmt, tmp_pa
     assert f"fracbound {argv[0]}: {records} records, {evaluations} evaluations, 0 violations" in err
 
 
+@pytest.mark.parametrize("interval", [["--interval", "-1,3"], ["--interval=-1,3"],
+                                      ["--interval", "-.5,2"], ["--interval", "-3,-2.5"],
+                                      ["--int", "-1,3"]])
+def test_interval_with_a_negative_left_end_parses_as_two_tokens(interval, tmp_path):
+    # A value that starts with "-" reads to argparse as an option; the
+    # documented form "--interval A,B" takes a negative A all the same.
+    out = tmp_path / "rep.csv"
+    argv = ["verify-bullen", "--trials", "3", *interval, "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    a, b = interval[-1].split("=")[-1].split(",")
+    assert "interval=%.17g,%.17g " % (float(a), float(b)) in out.read_text()
+
+
 def test_main_exit_2_on_bad_config(tmp_path):
     assert main(["verify-hadamard", "--interval", "5,1"]) == 2
     assert main(["verify-hadamard", "--interval", "nope"]) == 2
+    assert main(["verify-hadamard", "--interval", "1,1"]) == 2
+    assert main(["verify-hadamard", "--interval", "-1"]) == 2
+    assert main(["verify-hadamard", "--interval", "3,-1"]) == 2
     assert main(["verify-hadamard", "--alpha", "999"]) == 2
     assert main(["check-identities", "--out", str(tmp_path / "no" / "dir" / "x")]) == 2
 

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fracbound import corpus
 from fracbound.corpus import (LipschitzWitness, PiecewiseLinearFunction, WitnessArrays,
                               exact_rl_left, exact_rl_mid, exact_rl_right, from_text,
-                              lipschitz_constant, random_lipschitz, tent, to_text)
+                              lipschitz_constant, random_lipschitz, random_lipschitz_arrays,
+                              streams, tent, to_text)
 from fracbound.quadrature import (DomainError, Interval, Order, abs_moment_quadrature,
                                   gamma_fn, rl_left, rl_mid, rl_right)
 
@@ -88,6 +90,110 @@ def test_tent():
 # ----------------------------------------------------------------------
 # random generation
 # ----------------------------------------------------------------------
+
+def reference_stream(seed, key=None):
+    """The stream :func:`fracbound.corpus.streams` computes in arrays, built
+    by numpy one SeedSequence and PCG64 at a time."""
+    seq = np.random.SeedSequence(seed, spawn_key=() if key is None else (key,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def reference_streams(entropy, spawn_keys=None):
+    keys = [None] * len(entropy) if spawn_keys is None else spawn_keys
+    for seed, key in zip(entropy, keys):
+        yield reference_stream(seed, key)
+
+
+STREAM_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64)
+SPAWN_KEYS = (0, 1, 999, 2 ** 16, 10 ** 5 - 1)
+
+
+def assert_states_match(entropy, spawn_keys):
+    # A numpy that changes SeedSequence or PCG64 seeding fails here.
+    states = corpus._seed_states(entropy, spawn_keys)
+    keys = [None] * len(entropy) if spawn_keys is None else spawn_keys
+    for state, seed, key in zip(states, entropy, keys):
+        seq = np.random.SeedSequence(seed, spawn_key=() if key is None else (key,))
+        assert state.tolist() == seq.generate_state(4, np.uint64).tolist(), (seed, key)
+        assert corpus._pcg64_state(state.tolist()) == np.random.PCG64(seq).state, (seed, key)
+
+
+def test_seed_states_equal_numpy_on_every_seed_and_key():
+    entropy = [seed for seed in STREAM_SEEDS for _ in SPAWN_KEYS]
+    assert_states_match(entropy, list(SPAWN_KEYS) * len(STREAM_SEEDS))
+    assert_states_match(list(STREAM_SEEDS), None)
+
+
+def test_seed_states_equal_numpy_on_every_trial_at_seed_3():
+    assert_states_match([3] * 2000, list(range(2000)))
+
+
+def test_seed_states_equal_numpy_on_wide_seeds_and_keys():
+    # Seeds of more words than the pool, and keys of more than one word.
+    wide = (2 ** 100 + 7, 2 ** 128 - 1, 2 ** 128, 2 ** 200 + 5)
+    assert_states_match(list(wide) * 2, [2 ** 32, 2 ** 40 + 3, 0, 7] * 2)
+    assert_states_match(list(wide), None)
+
+
+def draws(rng):
+    # The draws of a verify-bullen trial, then a few more of other kinds.
+    return (int(rng.integers(0, 2 ** 63)), rng.dirichlet((1.0,) * 3).tolist(),
+            rng.uniform(0.0, 1.0, 3).tolist(), float(rng.uniform()),
+            rng.standard_normal(2).tolist())
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS + (2 ** 100 + 7,))
+def test_streams_draw_as_numpy_at_every_run_seed(seed):
+    keys = list(SPAWN_KEYS) + list(range(20))
+    got = [draws(rng) for rng in streams([seed] * len(keys), keys)]
+    assert got == [draws(reference_stream(seed, key)) for key in keys]
+
+
+# Witness seeds as the sweeps draw them: 63-bit, most of two words, a few
+# of one, in no order.
+WITNESS_SEEDS = [5, 2 ** 63 - 1, 0, 2 ** 32, 12345, 2 ** 32 - 1, 7_000_000_000_000_000_000, 1,
+                 2 ** 40 + 9, 3]
+
+
+def test_streams_without_keys_draw_as_numpy_in_order():
+    got = [draws(rng) for rng in streams(WITNESS_SEEDS)]
+    assert got == [draws(reference_stream(seed)) for seed in WITNESS_SEEDS]
+
+
+def test_streams_reject_negative_seeds_and_unpaired_keys():
+    with pytest.raises(ValueError):
+        list(streams([1, -1]))
+    with pytest.raises(ValueError):
+        list(streams([1], [-2]))
+    with pytest.raises(ValueError):
+        list(streams([1, 2], [0]))
+
+
+def as_tuples(witness):
+    return witness.function.breakpoints, witness.function.values, witness.constant
+
+
+@pytest.mark.parametrize("interval, segments", [
+    (ITV, 6),
+    # 5 floats inside: many draws repeat a breakpoint or hit an end, and
+    # each such draw is redrawn on the same stream.
+    (Interval(1.0, 1.0 + 6 * 2.0 ** -52), 3),
+])
+def test_random_lipschitz_draws_as_on_numpy_streams(interval, segments, monkeypatch):
+    got = [as_tuples(random_lipschitz(seed, interval, segments)) for seed in WITNESS_SEEDS]
+    rows = random_lipschitz_arrays(WITNESS_SEEDS, interval, segments)
+    monkeypatch.setattr(corpus, "streams", reference_streams)
+    assert got == [as_tuples(random_lipschitz(seed, interval, segments))
+                   for seed in WITNESS_SEEDS]
+    assert [as_tuples(rows.witness(i)) for i in range(len(WITNESS_SEEDS))] == got
+
+
+def test_the_narrow_interval_redraws_breakpoints():
+    # The case above does redraw: a seed whose first draw repeats a breakpoint.
+    a, b = 1.0, 1.0 + 6 * 2.0 ** -52
+    first = [np.sort(reference_stream(seed).uniform(a, b, 2)) for seed in WITNESS_SEEDS]
+    assert any(not (row[1:] > row[:-1]).all() for row in first)
+
 
 def test_random_lipschitz_deterministic():
     w1 = random_lipschitz(424242, ITV)
