@@ -21,11 +21,13 @@ of the scalar functions (``config_gap``, ``hadamard_bound``,
 ``bullen_bound``, ``verify``) bit for bit, and the pass runs the same
 checks: config weights and node order,
 the literal-vs-assembled guard, a nonnegative bound total and a
-nonnegative gap and bound.  Every fractional power is Python's float
-``**`` (libm ``pow``), applied element by element, not ``np.power``, whose
-SIMD loops differ from libm in the last bit on a few percent of arguments
-and would change report bytes.  The scalar functions remain the reference
-the tests hold the batched pass to.
+nonnegative gap and bound.  Every fractional power is libm ``pow``,
+applied element by element: Python's float ``**`` in the evaluator
+(:func:`fracbound.quadrature.power_array`) and ``np.float_power`` in the
+oracle's rules, never ``np.power``, whose SIMD loops differ from libm in
+the last bit on a few percent of arguments and would change report
+bytes.  The scalar functions remain the reference the tests hold the
+batched pass to.
 
 Quadrature oracle: the records of every tenth verify trial are
 re-evaluated by quadrature, every panel of every such record in one call
@@ -461,79 +463,54 @@ def cmd_verify_bullen(run: RunConfig) -> VerificationReport:
 # check-identities
 # --------------------------------------------------------------------------
 
-def _two_node_sample(case: int, rng, a: float, b: float):
-    lam = float(rng.uniform(0.15, 0.85))
-    v = a + lam * (b - a)
-    if case == 1:
-        x, y = sorted(float(u) for u in rng.uniform(v, b, 2))
-    elif case == 2:
-        x = float(rng.uniform(a, v))
-        y = float(rng.uniform(v, b))
-    else:
-        x, y = sorted(float(u) for u in rng.uniform(a, v, 2))
-    return (x, y), (a, v, b)
+# Per node count: the case prefix, the stream offset, the ranges of the
+# panel fractions whose running sums place the inner panel edges, and per
+# ordering case the panel of each node, in node order.  A run of equal
+# panels is one vector draw, sorted; "tail" draws between the previous node
+# and b.  A case with two placements alternates them by sample parity.
+# Case n lands in the n-th ordering of bounds._HADAMARD_TAGS/_BULLEN_TAGS.
+_IDENTITY_CASES = (
+    ("two_node", 10_000, ((0.15, 0.85),),
+     (((1, 1),), ((0, 1),), ((0, 0),))),
+    ("three_node", 20_000, ((0.15, 0.35), (0.2, 0.4)),
+     (((2, 2, "tail"), (1, 2, "tail")), ((1, 1, 2),), ((1, 1, 1),), ((0, 2, 2),),
+      ((0, 1, 2),), ((0, 1, 1),), ((0, 0, 2),), ((0, 0, 1), (0, 0, 0)))),
+)
 
 
-def _three_node_sample(case: int, k: int, rng, a: float, b: float):
-    # Panel widths leave room to place nodes inside every panel.
+def _identity_sample(rng, a: float, b: float, fractions: tuple, placement: tuple):
+    """(nodes, edges) of one check-identities sample: the panel fractions
+    first, the nodes then in node order, each run of one panel in one draw."""
     span = b - a
-    lam = float(rng.uniform(0.15, 0.35))
-    eta = float(rng.uniform(0.2, 0.4))
-    v1 = a + lam * span
-    v2 = a + (lam + eta) * span
-    u = lambda lo, hi: float(rng.uniform(lo, hi))
-    if case == 1:
-        # alternate between the two grouped orderings
-        if k % 2 == 0:
-            x, y = sorted((u(v2, b), u(v2, b)))
-        else:
-            x, y = u(v1, v2), u(v2, b)
-        z = u(y, b)
-    elif case == 2:
-        x, y = sorted((u(v1, v2), u(v1, v2)))
-        z = u(v2, b)
-    elif case == 3:
-        x, y, z = sorted((u(v1, v2), u(v1, v2), u(v1, v2)))
-    elif case == 4:
-        x = u(a, v1)
-        y, z = sorted((u(v2, b), u(v2, b)))
-    elif case == 5:
-        x, y, z = u(a, v1), u(v1, v2), u(v2, b)
-    elif case == 6:
-        x = u(a, v1)
-        y, z = sorted((u(v1, v2), u(v1, v2)))
-    elif case == 7:
-        x, y = sorted((u(a, v1), u(a, v1)))
-        z = u(v2, b)
-    else:
-        x, y = sorted((u(a, v1), u(a, v1)))
-        if k % 2 == 0:
-            z = u(v1, v2)
-        else:
-            x, y, z = sorted((x, y, u(a, v1)))
-    return (x, y, z), (a, v1, v2, b)
+    edges, cumulative = [a], 0.0
+    for lo, hi in fractions:
+        cumulative += float(rng.uniform(lo, hi))
+        edges.append(a + cumulative * span)
+    edges.append(b)
+    nodes = []
+    for panel, run in groupby(placement):
+        lo, hi = (nodes[-1], b) if panel == "tail" else edges[panel:panel + 2]
+        nodes += sorted(rng.uniform(lo, hi, len(list(run))).tolist())
+    return nodes, edges
 
 
 def _identity_moments(run: RunConfig):
     """The number of check-identities samples (as many per ordering case,
     at least 500 over the grid's orders) and the (case tag, panel, node,
     lower, upper) of their panel moments, the left kernel's first."""
-    per_case = max(12, -(-500 // (11 * len(run.alpha_grid))))
+    cases = sum(len(family[-1]) for family in _IDENTITY_CASES)
+    per_case = max(12, -(-500 // (cases * len(run.alpha_grid))))
     a, b = run.interval.a, run.interval.b
-    # (case prefix, orderings, stream offset, sampler) of each node count.
-    families = (
-        ("two_node", 3, 10_000, lambda case, k, rng: _two_node_sample(case, rng, a, b)),
-        ("three_node", 8, 20_000, lambda case, k, rng: _three_node_sample(case, k, rng, a, b)),
-    )
-    # (case tag, sampler, case, k, stream key) of every sample
-    samples = [(f"{family}_case{case}", sample, case, k, offset + 1_000 * case + k)
-               for family, cases, offset, sample in families
-               for case in range(1, cases + 1)
+    # (case tag, fractions, placement, stream key) of every sample
+    samples = [(f"{prefix}_case{case}", fractions, placements[k % len(placements)],
+                offset + 1_000 * case + k)
+               for prefix, offset, fractions, family in _IDENTITY_CASES
+               for case, placements in enumerate(family, 1)
                for k in range(per_case)]
     streams = corpus.streams([run.seed] * len(samples), [s[-1] for s in samples])
     # (case tag, nodes, edges) of every sample
-    drawn = [(tag, *sample(case, k, rng))
-             for (tag, sample, case, k, _), rng in zip(samples, streams)]
+    drawn = [(tag, *_identity_sample(rng, a, b, fractions, placement))
+             for (tag, fractions, placement, _), rng in zip(samples, streams)]
     return len(drawn), [(tag, "left" if p == 0 else "right" if p == len(nodes) - 1 else "mid",
                          nodes[p], edges[p], edges[p + 1])
                         for tag, nodes, edges in drawn for p in range(len(nodes))]

@@ -384,24 +384,29 @@ def _clipped_segments(f: PiecewiseLinearFunction, lo: float, hi: float):
         yield s0, s1, vals[i] + slope * (s0 - t0), slope
 
 
-def exact_rl_left(f: PiecewiseLinearFunction, order: Order, upper: float) -> float:
-    """Closed-form left fractional integral (1/Gamma(a)) int_a^upper (t-a)^(a-1) f dt.
-
-    On each segment piece, with f(t) = c + d*(t-a), the power rule gives
-    c*(P1^a - P0^a)/a + d*(P1^(a+1) - P0^(a+1))/(a+1) for P = t - a.
-    Exact up to rounding; no quadrature.
-    """
-    a = f.a
-    if not (a <= upper <= f.b):
-        raise DomainError(f"upper={upper} outside [{a}, {f.b}]")
+def _anchored_integral(f: PiecewiseLinearFunction, lo: float, hi: float, anchor: float,
+                       sign: float, order: Order) -> float:
+    """(1/Gamma(a)) int_lo^hi P^(a-1) f dt for the kernel distance
+    P = sign*(t - anchor), anchored at lo (sign 1) or at hi (sign -1): on each
+    piece f = c + d*P with d = sign*slope, and the power rule integrates both
+    terms.  Negation is exact, so both anchors round alike."""
     alpha = order.alpha
     total = 0.0
-    for lo, hi, v_lo, slope in _clipped_segments(f, a, upper):
-        c = v_lo - slope * (lo - a)
-        p0, p1 = lo - a, hi - a
-        total += c * (p1 ** alpha - p0 ** alpha) / alpha
-        total += slope * (p1 ** (alpha + 1.0) - p0 ** (alpha + 1.0)) / (alpha + 1.0)
+    for t0, t1, v0, slope in _clipped_segments(f, lo, hi):
+        d0, d1 = sign * (t0 - anchor), sign * (t1 - anchor)
+        near, far = (d0, d1) if sign > 0 else (d1, d0)
+        rate = sign * slope
+        c = v0 - rate * d0
+        total += c * (far ** alpha - near ** alpha) / alpha
+        total += rate * (far ** (alpha + 1.0) - near ** (alpha + 1.0)) / (alpha + 1.0)
     return total / gamma_fn(alpha)
+
+
+def exact_rl_left(f: PiecewiseLinearFunction, order: Order, upper: float) -> float:
+    """Closed-form left fractional integral (1/Gamma(a)) int_a^upper (t-a)^(a-1) f dt."""
+    if not (f.a <= upper <= f.b):
+        raise DomainError(f"upper={upper} outside [{f.a}, {f.b}]")
+    return _anchored_integral(f, f.a, upper, f.a, 1.0, order)
 
 
 def exact_rl_right(f: PiecewiseLinearFunction, order: Order, lower: float) -> float:
@@ -410,24 +415,14 @@ def exact_rl_right(f: PiecewiseLinearFunction, order: Order, lower: float) -> fl
 
 
 def exact_rl_mid(f: PiecewiseLinearFunction, v1: float, v2: float, order: Order) -> float:
-    """Closed-form panel integral (1/Gamma(a)) int_v1^v2 (v2-t)^(a-1) f dt.
-
-    Mirror of exact_rl_left with the kernel anchored at v2: on each piece
-    f(t) = c + d*(v2-t) with c = f extrapolated at v2 and d = -slope,
-    integrated in w = v2 - t.  Returns 0 when v1 == v2.
+    """Closed-form panel integral (1/Gamma(a)) int_v1^v2 (v2-t)^(a-1) f dt,
+    the kernel anchored at v2.  Returns 0 when v1 == v2.
     """
     if v1 > v2:
         raise DomainError(f"need v1 <= v2, got v1={v1}, v2={v2}")
     if not (f.a <= v1 and v2 <= f.b):
         raise DomainError(f"[{v1}, {v2}] outside [{f.a}, {f.b}]")
-    alpha = order.alpha
-    total = 0.0
-    for lo, hi, v_lo, slope in _clipped_segments(f, v1, v2):
-        c = v_lo + slope * (v2 - lo)
-        w0, w1 = v2 - hi, v2 - lo
-        total += c * (w1 ** alpha - w0 ** alpha) / alpha
-        total -= slope * (w1 ** (alpha + 1.0) - w0 ** (alpha + 1.0)) / (alpha + 1.0)
-    return total / gamma_fn(alpha)
+    return _anchored_integral(f, v1, v2, v2, -1.0, order)
 
 
 def _offset_powers(dist: np.ndarray, width: np.ndarray, exponent: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ class Order:
 
 @dataclass(frozen=True)
 class Interval:
-    """Finite interval [a, b] with a < b."""
+    """Finite interval [a, b] with a < b and a finite width b - a."""
 
     a: float
     b: float
@@ -184,6 +184,8 @@ class Interval:
             raise DomainError(f"interval endpoints must be finite: [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise DomainError(f"interval needs a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise DomainError(f"interval width b - a overflows binary64: [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

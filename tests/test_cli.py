@@ -202,6 +202,27 @@ def test_check_identities_draws_each_sample_once_per_run(monkeypatch):
     assert len(at_2(reports[(2.0, 0.5)])) == (3 * 2 + 8 * 3) * per_case
 
 
+@pytest.mark.parametrize("seed", (0, 42))
+@pytest.mark.parametrize("itv", (Interval(0.0, 1.0), Interval(-3.0, 5.0)),
+                         ids=lambda i: f"[{i.a:g},{i.b:g}]")
+def test_identity_case_n_lands_in_ordering_n(seed, itv):
+    # Every sample of <family>_case<n> has the branch tuple of the n-th
+    # ordering of the family's tag table, as the literal encoding reads it.
+    _, moments = cli._identity_moments(RunConfig(seed=seed, alpha_grid=(1.0,), interval=itv))
+    starts = [i for i, m in enumerate(moments) if m[1] == "left"] + [len(moments)]
+    seen = {}
+    for start, stop in zip(starts, starts[1:]):
+        tags, _, nodes, lower, upper = zip(*moments[start:stop])
+        family, case = tags[0].rsplit("_case", 1)
+        table = {"two_node": bounds._HADAMARD_TAGS, "three_node": bounds._BULLEN_TAGS}[family]
+        assert len(set(tags)) == 1 and len(nodes) == len(next(iter(table)))
+        panels = bounds.PanelConfig(itv, Order(1.0), (1.0 / len(nodes),) * len(nodes), nodes,
+                                    lower + upper[-1:])
+        assert bounds._breakdown(panels, table).case_tag == list(table.values())[int(case) - 1]
+        seen[tags[0]] = seen.get(tags[0], 0) + 1
+    assert len(seen) == 11 and set(seen.values()) == {max(12, -(-500 // 11))}
+
+
 @pytest.mark.parametrize("interval", ["0,1e-12", "0,1e-200", "-3,-2.9999999999"])
 def test_check_identities_on_a_narrow_interval(interval, tmp_path, capsys):
     # The continuity probes step 1e-9 of the width, or to the float

@@ -258,6 +258,31 @@ def test_corollary_suite_documented_deviations():
         assert "simpson_theta_third_bound" in ids_at[alpha]
 
 
+@pytest.mark.parametrize("alpha, printed, gap", [
+    (0.5, 2.0 * 0.5 ** 1.5 / 1.5, 0.3047378541243651),
+    (1.0, 0.25, 0.25),
+    (2.0, 1.0 / 12.0, 0.25),
+    (3.0, 1.0 / 32.0, 0.28125),
+])
+def test_shifted_single_node_shortcut_is_false_above_order_1(alpha, printed, gap):
+    # lam = 0, node_delta = 0.5 on [0, 1], the tent |t - 1/2| (M = 1): the
+    # tent attains the assembled bound, so the shortcut is loose below order
+    # 1, exact at 1 and smaller than the gap (false) at 2 and 3.
+    finding = next(f for f in corollary_suite(ITV, Order(alpha))
+                   if f.formula_id == "shifted_single_node_bound"
+                   and f.params[1:] == (("lam", 0.0), ("node_delta", 0.5)))
+    got = hadamard_gap(HadamardConfig(ITV, Order(alpha), 0.0, 0.5, 0.5),
+                       LipschitzWitness(tent(ITV, 0.5), 1.0))
+    assert finding.printed_bound == pytest.approx(printed, rel=1e-12)
+    assert got == pytest.approx(gap, rel=1e-12)
+    assert got == pytest.approx(finding.oracle_bound, rel=1e-12)
+    if alpha < 1.0:
+        assert finding.printed_bound > got
+    elif alpha > 1.0:
+        assert got / finding.printed_bound == pytest.approx(3.0 if alpha == 2.0 else 9.0,
+                                                            rel=1e-12)
+
+
 def test_corollary_suite_deterministic():
     a = corollary_suite(ITV, Order(2.0))
     b = corollary_suite(ITV, Order(2.0))

@@ -9,6 +9,7 @@ import json
 import math
 import os
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +61,17 @@ def test_audit_corollaries_exit_code_is_0_or_2(start, log_width, log_alpha):
     argv = ["audit-corollaries", f"--interval={start!r},{end!r}", "--alpha", repr(alpha),
             "--out", os.devnull]
     assert main(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("command", COMMANDS[:3] + (["check-identities"], ["audit-corollaries"]),
+                         ids=" ".join)
+def test_an_interval_whose_width_overflows_exits_2(command, capsys):
+    # Both ends are finite but b - a overflows to inf; the error names the
+    # width, not a power or numpy's uniform draw.
+    argv = command + ["--interval", "-1e308,1e308", "--trials", "2", "--out", os.devnull]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "width" in err
 
 
 def test_sweep_exits_1_on_a_violation(tmp_path):

@@ -61,6 +61,14 @@ def test_interval_validation():
     assert Interval(-1.5, 2.5).width == 4.0
 
 
+def test_interval_rejects_a_width_that_overflows():
+    # Both ends are finite, but b - a is inf: every width power and every
+    # uniform draw over the interval would overflow.
+    with pytest.raises(DomainError, match="width"):
+        Interval(-1e308, 1e308)
+    assert Interval(-8e307, 8e307).width == 1.6e308
+
+
 # ----------------------------------------------------------------------
 # rl_left / rl_right / rl_mid point values
 # ----------------------------------------------------------------------
