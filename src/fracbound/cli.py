@@ -26,8 +26,9 @@ applied element by element: Python's float ``**`` in the evaluator
 (:func:`fracbound.quadrature.power_array`) and ``np.float_power`` in the
 oracle's rules, never ``np.power``, whose SIMD loops differ from libm in
 the last bit on a few percent of arguments and would change report
-bytes.  The scalar functions remain the reference the tests hold the
-batched pass to.
+bytes.  The commands run only the batched path, the audit's order-1
+diagnostics included: the scalar functions are the tests' reference, and
+tests/test_scalar_reference_guard.py fails if a command reaches one.
 
 Quadrature oracle: the records of every tenth verify trial are
 re-evaluated by quadrature, every panel of every such record in one call
@@ -636,9 +637,12 @@ def cmd_check_identities(run: RunConfig) -> VerificationReport:
 # audit-corollaries
 # --------------------------------------------------------------------------
 
-def _classical_mean(f: corpus.PiecewiseLinearFunction) -> float:
-    one = Order(1.0)
-    return corpus.exact_rl_left(f, one, f.b) / (f.b - f.a)
+def _classical_mean(f: corpus.LipschitzWitness) -> float:
+    """The mean of f over its interval [a, b]: the order-1 left-kernel panel
+    integral over [a, b], one :func:`fracbound.corpus.exact_rl_panels` row."""
+    a, b = f.function.a, f.function.b
+    one = corpus.WitnessArrays.repeat(f, 1)
+    return corpus.exact_rl_panels(one, np.array([[a, b]]), np.ones(1)).item() / (b - a)
 
 
 def cmd_audit_corollaries(run: RunConfig) -> VerificationReport:
@@ -663,24 +667,25 @@ def cmd_audit_corollaries(run: RunConfig) -> VerificationReport:
                 if cur is None or finding.erratum.max_abs_deviation > cur.max_abs_deviation:
                     worst[finding.formula_id] = finding.erratum
 
-    # Classical (order 1) diagnostics for the two shortcut functionals.
+    # Classical (order 1) diagnostics for the two shortcut functionals, both
+    # adjudicated in one verify_panels call.
     if any(a == 1.0 for a in run.alpha_grid):
         f = corpus.tent(canonical, 0.5)
         m = corpus.lipschitz_constant(f)
-        mean = _classical_mean(f)
+        mean = _classical_mean(corpus.LipschitzWitness(f, m))
         mid = f(0.5)
         end = (f(0.0) + f(1.0)) / 2.0
-        for formula_id, gap, coeff in (
-                ("bullen_remark_classical_alpha1", abs(0.5 * (end + mid) - mean),
-                 bounds.bullen_remark_coeff(1.0)),
-                ("simpson_remark_classical_alpha1",
-                 abs((f(0.0) + 4.0 * mid + f(1.0)) / 6.0 - mean),
-                 bounds.simpson_remark_coeff(1.0))):
-            res = engine.verify(gap, coeff * m)
+        ids = ("bullen_remark_classical_alpha1", "simpson_remark_classical_alpha1")
+        coeffs = (bounds.bullen_remark_coeff(1.0), bounds.simpson_remark_coeff(1.0))
+        gap = np.array([abs(0.5 * (end + mid) - mean),
+                        abs((f(0.0) + 4.0 * mid + f(1.0)) / 6.0 - mean)])
+        bound = np.array(coeffs) * m
+        ratio, passed = engine.verify_panels(gap, bound)
+        for formula_id, coeff, g, bd, r, ok in zip(ids, coeffs, gap.tolist(), bound.tolist(),
+                                                   ratio.tolist(), passed.tolist()):
             records.append({"formula_id": formula_id, "alpha": 1.0,
-                            "printed_bound": coeff, "oracle_bound": coeff,
-                            "deviation": 0.0, "gap": res.gap, "bound_used": res.bound,
-                            "ratio": res.ratio, "passed": res.passed})
+                            "printed_bound": coeff, "oracle_bound": coeff, "deviation": 0.0,
+                            "gap": g, "bound_used": bd, "ratio": r, "passed": ok})
 
     errata = [worst[fid].as_record() for fid in sorted(worst)]
     aggregate = {

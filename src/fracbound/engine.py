@@ -21,10 +21,11 @@ silently corrected, and a deviating shortcut value is never used to fail
 a witness: the assembled bound is ground truth.
 
 The batched k-panel evaluator (``panel_gap``, ``panel_bound``,
-``verify_panels``) serves the verify commands, ``sweep`` and the corollary
-audit; its values equal those of the scalar functions (``config_gap``,
-``hadamard_bound``, ``bullen_bound``, ``verify``) bit for bit, and the
-scalar functions are the reference the tests hold it to.
+``verify_panels``) is the only path the commands run; its values equal
+those of the scalar functions (``config_gap``, ``hadamard_bound``,
+``bullen_bound``, ``verify``) bit for bit.  The scalar functions are the
+tests' reference, and tests/test_scalar_reference_guard.py fails if a
+command reaches one.
 ``panel_quadrature_gap`` is the batched quadrature path of the verify
 commands' oracle checks, equal bit for bit to ``config_gap`` with method
 "quadrature" on every row that converges.

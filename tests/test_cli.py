@@ -270,6 +270,28 @@ def test_continuity_probes_check_something_on_an_offset_interval():
     assert rep.aggregate["continuity_breaches"] == 0
 
 
+def test_a_jump_at_a_case_boundary_is_a_continuity_breach(monkeypatch, tmp_path):
+    # Every other continuity test asserts no breach; this one shows a breach
+    # is caught.  The first probe's value above its boundary (row 1 of the
+    # two-node pass) jumps by 1e-4 relative: well above CONTINUITY_LIMIT,
+    # well below a limit weakened 10 000 times.
+    v_panels = bounds.v_panels
+
+    def jumps(cfg):
+        totals = v_panels(cfg)
+        if cfg.nodes.shape[1] == 2:
+            totals[1] *= 1.0 + 1e-4
+        return totals
+
+    monkeypatch.setattr(bounds, "v_panels", jumps)
+    out = tmp_path / "identities.json"
+    assert main(["check-identities", "--alpha", "0.5", "--alpha", "2", "--out", str(out)]) == 1
+    agg = json.loads(out.read_bytes())["aggregate"]
+    assert agg["continuity_breaches"] >= 1
+    assert agg["residual_breaches"] == 0
+    assert agg["violations"] == agg["continuity_breaches"]
+
+
 def test_oracle_residual_rule():
     # |closed - quad| / max(1, |quad|); inf where the oracle gave up with a
     # non-finite estimate; a breach above RESIDUAL_LIMIT or without
